@@ -1,11 +1,12 @@
 """Ground-truth Jordan types from matrix ranks.
 
 The authoritative decomposition path: multiplicities come from kernel
-dimensions of powers of X = u - 1, each rank extracted by exact Gaussian
-elimination over GF(p). Powers are never formed densely from scratch; a row
-basis of the row space of X^k is carried along and multiplied by X once per
-step, which is what makes the large tensor-square sweeps affordable. All
-arithmetic is integer.
+dimensions of powers of X = u - 1. There is one rank chain: a row basis of
+the row space of X^k is carried along, multiplied by X once per step and
+echelonized by the same `_echelon` at every prime, p = 2 included. Callers
+differ only in how they multiply by X. For J_m tensor J_n it is three array
+shifts on k[x, y]/(x^m, y^n), with no matrix built; an explicit matrix is
+multiplied as a CSR product. All arithmetic is integer.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .partitions import JordanType, PrimeChar
 
 DEFAULT_MAX_ENTRIES = 40_000
 
-_SPARSE_CUTOFF = 256
-
 
 class OracleCapError(ValueError):
     """A requested matrix would exceed the configured entry cap."""
@@ -35,8 +34,12 @@ def _check_cap(side: int, max_entries: int) -> None:
         )
 
 
+@lru_cache(maxsize=None)
 def _inv_table(p: int, dtype) -> np.ndarray:
-    return np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=dtype)
+    """Inverses mod p by residue, built once per (p, dtype) and shared read-only."""
+    table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=dtype)
+    table.flags.writeable = False
+    return table
 
 
 def _working_dtype(p: int, max_col_terms: int):
@@ -112,96 +115,25 @@ def _echelon(work: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
     return acc[:count]
 
 
-def _rows_to_ints(bits: np.ndarray) -> list[int]:
-    """Each 0/1 row becomes one arbitrary-precision integer, bit i = column i."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def _rank_chain(times_x, n: int, p: int, dtype) -> list[int]:
+    """[rank X^0, rank X^1, ...] down to rank 0, for nilpotent X on GF(p)^n.
 
-
-def _ints_to_rows(vals, n: int) -> np.ndarray:
-    nbytes = (n + 7) >> 3
-    buf = b"".join(v.to_bytes(nbytes, "little") for v in vals)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
-
-
-def _echelon_gf2(rows: list[int]) -> dict[int, int]:
-    """GF(2) echelon with rows held as Python ints, keyed by pivot column.
-
-    A row is one big integer, elimination is one xor, and the leading column
-    is the lowest set bit; the classic insert-and-reduce walk runs at bigint
-    speed with no per-step array dispatch, which is what makes the p = 2
-    chains cheap.
+    times_x maps an (r, n) row basis, reduced mod p and of the given dtype, to
+    the exact product of those rows with X, reduced mod p. The chain starts
+    from the identity basis and echelons each product. A rank that stalls
+    above zero means X was not nilpotent.
     """
-    pivots: dict[int, int] = {}
-    for v in rows:
-        while v:
-            c = (v & -v).bit_length() - 1
-            w = pivots.get(c)
-            if w is None:
-                pivots[c] = v
-                break
-            v ^= w
-    return pivots
-
-
-def _rank_chain_gf2(x_op, n: int) -> list[int]:
-    """The p = 2 chain; ranks match _rank_chain exactly.
-
-    Eliminations run on integer-packed rows; the product step unpacks the
-    basis, multiplies by X with ordinary sparse integer arithmetic, and keeps
-    the parity.
-    """
-    dense = np.asarray(_to_dense_rows(x_op), dtype=np.uint8)
-    ranks = [n]
-    pivots = _echelon_gf2(_rows_to_ints(dense))
-    while True:
-        r = len(pivots)
-        if r == ranks[-1] and r > 0:
-            raise ValueError("matrix is not unipotent: rank of powers stalls above zero")
-        ranks.append(r)
-        if r == 0:
-            return ranks
-        rows = _ints_to_rows(pivots.values(), n)
-        prod = np.asarray(rows @ x_op)
-        np.bitwise_and(prod, 1, out=prod)
-        pivots = _echelon_gf2(_rows_to_ints(prod.astype(np.uint8)))
-
-
-def _rank_chain(x_op, n: int, p: int) -> list[int]:
-    """[rank X^0, rank X^1, ...] down to rank 0, for nilpotent X.
-
-    x_op is a dense ndarray or a scipy sparse matrix; either way the step is
-    an exact integer product of the current row basis with X. A rank that
-    stalls above zero means X was not nilpotent.
-    """
-    if p == 2:
-        return _rank_chain_gf2(x_op, n)
-    if sparse.issparse(x_op):
-        col_terms = int(x_op.getnnz(axis=0).max()) if x_op.nnz else 0
-    else:
-        col_terms = x_op.shape[0]
-    dtype = _working_dtype(p, col_terms)
-    x_op = x_op.astype(dtype)
     inv = _inv_table(p, dtype)
     ranks = [n]
-    basis = _echelon(_to_dense_rows(x_op), p, inv)
+    basis = np.eye(n, dtype=dtype)
     while True:
+        basis = _echelon(times_x(basis), p, inv)
         r = basis.shape[0]
         if r == ranks[-1] and r > 0:
             raise ValueError("matrix is not unipotent: rank of powers stalls above zero")
         ranks.append(r)
         if r == 0:
             return ranks
-        basis = np.asarray(basis @ x_op)
-        np.mod(basis, p, out=basis)
-        basis = _echelon(basis, p, inv)
-
-
-def _to_dense_rows(x_op) -> np.ndarray:
-    if sparse.issparse(x_op):
-        return x_op.toarray()
-    return x_op.copy()
 
 
 def _blocks_from_ranks(ranks: list[int]) -> JordanType:
@@ -216,6 +148,13 @@ def _blocks_from_ranks(ranks: list[int]) -> JordanType:
     return JordanType(blocks)
 
 
+def _checked(t: JordanType, dim: int) -> JordanType:
+    """t itself, after an explicit dimension check that python -O keeps."""
+    if t.dim != dim:
+        raise AssertionError(f"Jordan type {t} has dimension {t.dim}, expected {dim}")
+    return t
+
+
 def jordan_type_of(M: PrimeFieldMatrix) -> JordanType:
     """Jordan type of a unipotent matrix from kernel dimensions of powers.
 
@@ -228,25 +167,39 @@ def jordan_type_of(M: PrimeFieldMatrix) -> JordanType:
     if n == 0:
         return JordanType()
     p = M.p
-    X = (M.array - np.eye(n, dtype=np.int64)) % p
-    x_op = sparse.csr_matrix(X) if n >= _SPARSE_CUTOFF else X
-    t = _blocks_from_ranks(_rank_chain(x_op, n, p))
-    assert t.dim == n
-    return t
+    X = sparse.csr_matrix((M.array - np.eye(n, dtype=np.int64)) % p)
+    dtype = _working_dtype(p, int(X.getnnz(axis=0).max()))
+    X = X.astype(dtype)
+
+    def times_x(rows: np.ndarray) -> np.ndarray:
+        return np.asarray(rows @ X) % p
+
+    return _checked(_blocks_from_ranks(_rank_chain(times_x, n, p, dtype)), n)
 
 
 @lru_cache(maxsize=None)
 def _tensor_block_type(m: int, n: int, p: int) -> JordanType:
-    a = sparse.csr_matrix(jordan_block(m, p).array)
-    b = sparse.csr_matrix(jordan_block(n, p).array)
-    prod = sparse.kron(a, b, format="csr")
+    """J_m tensor J_n, acting on V_m tensor V_n = k[x, y]/(x^m, y^n).
+
+    u tensor u - 1 is multiplication by x + y + xy, so a row of coefficients,
+    reshaped to (m, n), is multiplied by X with three shifted slice additions;
+    no operator matrix is built. The shift direction matches the row-vector
+    convention of jordan_block: (v J)_k = v_k + v_{k+1}.
+    """
+
+    def times_x(rows: np.ndarray) -> np.ndarray:
+        a = rows.reshape(-1, m, n)
+        out = np.zeros_like(a)
+        out[:, :-1, :] = a[:, 1:, :]
+        out[:, :, :-1] += a[:, :, 1:]
+        out[:, :-1, :-1] += a[:, 1:, 1:]
+        np.mod(out, p, out=out)
+        return out.reshape(-1, m * n)
+
     side = m * n
-    x = (prod - sparse.identity(side, dtype=np.int64, format="csr")).tocsr()
-    x.data %= p
-    x_op = x if side >= _SPARSE_CUTOFF else np.asarray(x.todense(), dtype=np.int64)
-    t = _blocks_from_ranks(_rank_chain(x_op, side, p))
-    assert t.dim == side
-    return t
+    # each product entry sums at most three shifted entries
+    ranks = _rank_chain(times_x, side, p, _working_dtype(p, 3))
+    return _checked(_blocks_from_ranks(ranks), side)
 
 
 def tensor_block_type(
@@ -288,8 +241,7 @@ def tensor_dual_type(
         for d2, m2 in t:
             part = tensor_block_type(d1, d2, p, max_entries=max_entries)
             out = out + JordanType({s: m * m1 * m2 for s, m in part})
-    assert out.dim == t.dim**2
-    return out
+    return _checked(out, t.dim**2)
 
 
 def _square_type(
@@ -319,8 +271,7 @@ def ext2_type(
         raise ValueError("empty Jordan type")
     PrimeChar(int(p))
     out = _square_type(t, int(p), _ext2_single, -1, max_entries)
-    assert out.dim == t.dim * (t.dim - 1) // 2
-    return out
+    return _checked(out, t.dim * (t.dim - 1) // 2)
 
 
 def sym2_type(
@@ -333,5 +284,4 @@ def sym2_type(
         raise ValueError("sym2_type requires p > 2")
     PrimeChar(int(p))
     out = _square_type(t, int(p), _sym2_single, 1, max_entries)
-    assert out.dim == t.dim * (t.dim + 1) // 2
-    return out
+    return _checked(out, t.dim * (t.dim + 1) // 2)

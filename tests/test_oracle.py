@@ -1,10 +1,17 @@
 """Tests for the matrix-based Jordan type oracle."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jordanblocks
 from jordanblocks import (
     JordanType,
     OracleCapError,
@@ -24,6 +31,11 @@ from jordanblocks import (
 from jordanblocks.linalg import inverse, kernel_dim
 
 PRIMES = [2, 3, 5, 7]
+
+# every 1 <= m <= n <= 12, plus pairs on both sides of 256 rows, at each prime
+DIFFERENTIAL_PAIRS = [
+    (m, n, p) for p in PRIMES for n in range(1, 13) for m in range(1, n + 1)
+] + [(m, n, p) for p in PRIMES for m, n in [(16, 16), (15, 18), (20, 20)]]
 
 # worked examples with independently checked decompositions
 TENSOR_EXAMPLES = [
@@ -82,12 +94,14 @@ class TestTensorBlockType:
     def test_symmetric_in_the_factors(self, m, n, p):
         assert tensor_block_type(m, n, p) == tensor_block_type(n, m, p)
 
-    @pytest.mark.parametrize("m, n, p", [(2, 3, 3), (3, 3, 2), (2, 4, 5)])
+    @pytest.mark.parametrize("m, n, p", DIFFERENTIAL_PAIRS)
     def test_agrees_with_direct_matrix_computation(self, m, n, p):
         M = kronecker(jordan_block(m, p), dual_action(jordan_block(n, p)))
-        assert jordan_type_of(M) == tensor_block_type(m, n, p)
+        assert jordan_type_of(M) == tensor_block_type(m, n, p, max_entries=(m * n) ** 2)
 
-    @pytest.mark.parametrize("m, n, p", [(3, 4, 2), (4, 4, 3), (2, 5, 5)])
+    @pytest.mark.parametrize(
+        "m, n, p", [(3, 4, 2), (4, 4, 3), (2, 5, 5), (5, 6, 2), (4, 8, 2)]
+    )
     def test_block_counts_match_kernel_dimensions(self, m, n, p):
         # multiplicity of size s is 2k_s - k_{s+1} - k_{s-1}
         # with k_s the kernel dimension of the s-th power of the shift
@@ -115,6 +129,41 @@ class TestTensorBlockType:
 
     def test_cap_error_is_a_value_error(self):
         assert issubclass(OracleCapError, ValueError)
+
+    def test_dimension_check_survives_python_O(self):
+        # a rank chain that loses a block must still be caught when asserts are stripped
+        script = textwrap.dedent(
+            """
+            import sys
+            from jordanblocks import JordanType, oracle
+
+            real = oracle._blocks_from_ranks
+
+            def drop_one_block(ranks):
+                blocks = real(ranks).blocks
+                largest = max(blocks)
+                blocks[largest] -= 1
+                return JordanType({s: m for s, m in blocks.items() if m})
+
+            oracle._blocks_from_ranks = drop_one_block
+            if not sys.flags.optimize:
+                sys.exit("not running under python -O")
+            try:
+                oracle.tensor_block_type(3, 4, 5)
+            except AssertionError as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit("no error for a Jordan type of the wrong dimension")
+            """
+        )
+        src = str(Path(jordanblocks.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "expected 12" in proc.stdout
 
 
 class TestTensorDualType:
