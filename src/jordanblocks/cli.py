@@ -14,11 +14,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
-from .construction import build_adjoint_action
-from .oracle import ext2_type, jordan_type_of, sym2_type, tensor_dual_type
+from .oracle import ext2_type, sym2_type, tensor_dual_type
 from .partitions import JordanType, parse_jordan_type, partitions_of
 from .reports import build_report
-from .rules import GroupContext, adjoint_rule, validate_classical
+from .rules import GroupContext, validate_classical
 
 __all__ = ["main"]
 
@@ -86,17 +85,16 @@ def cmd_reproduce_table(args: argparse.Namespace) -> int:
     rows = _load_fixture(args.fixture)
     failures = 0
     for n, p, t_in, want_tensor, want_irr in rows:
-        got_tensor = tensor_dual_type(t_in, p)
-        got_rule = adjoint_rule(got_tensor, t_in, GroupContext("SL", n, p))
-        got_built = jordan_type_of(build_adjoint_action(t_in, p))
-        ok = got_tensor == want_tensor and got_rule == want_irr and got_built == want_irr
+        report = build_report(t_in, GroupContext("SL", n, p), verify=True)
+        got_tensor, got_irr = report.carrier, report.irreducible
+        ok = got_tensor == want_tensor and got_irr == want_irr and report.verified
         status = "ok" if ok else "MISMATCH"
         print(f"{status}  n={n} p={p} type=[{t_in.render()}]")
         if not ok:
             failures += 1
             print(f"    tensor: expected [{want_tensor.render()}], got [{got_tensor.render()}]")
-            print(f"    irreducible: expected [{want_irr.render()}], "
-                  f"rule gave [{got_rule.render()}], construction gave [{got_built.render()}]")
+            print(f"    irreducible: expected [{want_irr.render()}], got [{got_irr.render()}]"
+                  + ("" if report.verified else "; the construction disagrees"))
     print(f"{len(rows) - failures}/{len(rows)} rows match")
     return 4 if failures else 0
 

@@ -6,7 +6,9 @@ the row space of X^k is carried along, multiplied by X once per step and
 echelonized by the same `_echelon` at every prime, p = 2 included. Callers
 differ only in how they multiply by X. For J_m tensor J_n it is three array
 shifts on k[x, y]/(x^m, y^n), with no matrix built; an explicit matrix is
-multiplied as a CSR product. All arithmetic is integer.
+multiplied as a CSR product. All arithmetic is integer and division-free,
+in the narrowest dtype (int8 to int64) that holds the chain's bound at p;
+a prime too large for int64 is refused.
 """
 
 from __future__ import annotations
@@ -34,54 +36,46 @@ def _check_cap(side: int, max_entries: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _inv_table(p: int, dtype) -> np.ndarray:
-    """Inverses mod p by residue, built once per (p, dtype) and shared read-only."""
-    table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=dtype)
-    table.flags.writeable = False
-    return table
-
-
 def _working_dtype(p: int, max_col_terms: int):
     """Narrowest integer dtype that cannot overflow during the chain.
 
     The product step sums at most max_col_terms products of entries < p; the
-    elimination step subtracts one such product from a reduced entry. All
-    partial sums are non-negative and bounded by the final value, so a dtype
-    that holds the bound holds every intermediate.
+    elimination step adds two such products. All partial sums are
+    non-negative and bounded by the final value, so a dtype that holds
+    max(max_col_terms, 2) * (p-1)^2 + p holds every intermediate. A prime too
+    large for int64 to hold that bound is refused.
     """
-    bound = max(max_col_terms, 1) * (p - 1) * (p - 1) + p
-    for dt, lim in ((np.int8, 127), (np.int16, 32767), (np.int32, 2**31 - 1)):
-        if bound <= lim:
+    bound = max(max_col_terms, 2) * (p - 1) * (p - 1) + p
+    for dt in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dt).max:
             return dt
-    return np.int64
+    raise ValueError(f"p = {p} is too large: elimination mod p would overflow int64")
 
 
-def _echelon(work: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
-    """Row-echelon basis of the row space of work, pivots normalized to 1.
+def _echelon(work: np.ndarray, p: int) -> np.ndarray:
+    """Row-echelon basis of the row space of work, with no division.
 
     work must already be reduced mod p; it is consumed as scratch. Vectorized
     rounds: every active row is bucketed by leading column, one row per new
-    column is accepted as a pivot, and all active rows then subtract their
-    multiple of the pivot row sharing their lead. A row just accepted
-    subtracts its own normalized copy and dies; every other surviving row's
-    leading column strictly advances, so the loop terminates.
+    column is accepted as a pivot as it stands, and every active row r then
+    becomes lead(pivot) * r + (p - lead(r)) * pivot for the pivot sharing its
+    lead. That clears r's lead without a modular inverse, since scaling by a
+    unit keeps the row space. A row just accepted becomes p times itself and
+    dies; every other surviving row's leading column strictly advances, so
+    the loop terminates.
 
-    The elimination adds coef * (p - coef(pivot)) products, keeping every
-    entry in [0, (p-1)^2 + p - 1], so the reduction is a table gather instead
-    of an integer-division pass; division is what would otherwise dominate
-    the loop. Very large p falls back to a plain mod rather than building a
-    quadratic-size table.
+    Every entry then lies in [0, 2(p-1)^2], so for small p the reduction is a
+    table gather instead of an integer-division pass; division is what would
+    otherwise dominate the loop. Larger p falls back to a plain mod.
     """
     ncols = work.shape[1]
     acc = np.zeros((min(work.shape[0], ncols), ncols), dtype=work.dtype)
+    lead = np.zeros(acc.shape[0], dtype=work.dtype)
     pivot_at = np.full(ncols, -1, dtype=np.intp)
     count = 0
     act = work
-    top = (p - 1) * (p - 1) + p
-    canon = None
-    if top <= 4096:
-        canon = np.array([v % p for v in range(top)], dtype=act.dtype)
+    top = 2 * (p - 1) * (p - 1) + 1
+    canon = np.arange(top, dtype=act.dtype) % p if top <= 8192 else None
     idx = np.arange(work.shape[0])
     while act.shape[0]:
         leads = np.argmax(act != 0, axis=1)
@@ -99,14 +93,15 @@ def _echelon(work: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
             fresh = pidx < 0
             cols, order = np.unique(leads[fresh], return_index=True)
             take = np.flatnonzero(fresh)[order]
-            rows = act[take] * inv[coef[take]][:, None] % p
-            acc[count : count + len(cols)] = rows
+            acc[count : count + len(cols)] = act[take]
+            lead[count : count + len(cols)] = coef[take]
             pivot_at[cols] = count + np.arange(len(cols))
             count += len(cols)
             pidx = pivot_at[leads]
         piv = acc[pidx]
         np.subtract(p, coef, out=coef)
         np.multiply(piv, coef[:, None], out=piv)
+        np.multiply(act, lead[pidx][:, None], out=act)
         np.add(act, piv, out=act)
         if canon is not None:
             act = np.take(canon, act)
@@ -123,11 +118,10 @@ def _rank_chain(times_x, n: int, p: int, dtype) -> list[int]:
     from the identity basis and echelons each product. A rank that stalls
     above zero means X was not nilpotent.
     """
-    inv = _inv_table(p, dtype)
     ranks = [n]
     basis = np.eye(n, dtype=dtype)
     while True:
-        basis = _echelon(times_x(basis), p, inv)
+        basis = _echelon(times_x(basis), p)
         r = basis.shape[0]
         if r == ranks[-1] and r > 0:
             raise ValueError("matrix is not unipotent: rank of powers stalls above zero")

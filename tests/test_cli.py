@@ -76,6 +76,12 @@ class TestDecompose:
         assert code == 3
         assert "prime" in err
 
+    def test_prime_too_large_for_int64_is_refused(self, capsys):
+        code, _, err = run(capsys, "decompose", "--p", "2147483647", "--type", "2")
+        assert code == 3
+        assert "error:" in err
+        assert "2147483647" in err
+
     def test_classical_type_constraint_is_enforced(self, capsys):
         # a symplectic form forces odd sizes to pair up
         code, _, err = run(capsys, "decompose", "--p", "3", "--type", "3, 1", "--group", "sp")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from jordanblocks import (
     OracleCapError,
     PrimeFieldMatrix,
     block_diagonal,
+    clebsch_gordan,
     dual_action,
     ext2_type,
     exterior_square,
@@ -28,7 +30,8 @@ from jordanblocks import (
     tensor_block_type,
     tensor_dual_type,
 )
-from jordanblocks.linalg import inverse, kernel_dim
+from jordanblocks import oracle
+from jordanblocks.linalg import inverse, kernel_dim, rref
 
 PRIMES = [2, 3, 5, 7]
 
@@ -47,6 +50,10 @@ TENSOR_EXAMPLES = [
     (3, 3, 2, {1: 1, 4: 2}),
     (4, 4, 2, {4: 4}),
 ]
+
+
+# p = 2, then primes on both sides of every width change of the working dtype
+WIDTH_PRIMES = [2, 7, 11, 127, 131, 10007, 1000003]
 
 
 def unipotent_of_type(t: JordanType, p: int) -> PrimeFieldMatrix:
@@ -164,6 +171,61 @@ class TestTensorBlockType:
         )
         assert proc.returncode == 0, proc.stderr
         assert "expected 12" in proc.stdout
+
+
+class TestWorkingDtype:
+    @pytest.mark.parametrize(
+        "p, two_terms, three_terms",
+        [
+            (7, np.int8, np.int8),
+            (11, np.int16, np.int16),
+            (127, np.int16, np.int32),
+            (131, np.int32, np.int32),
+            (10007, np.int32, np.int32),
+            (1000003, np.int64, np.int64),
+        ],
+    )
+    def test_narrowest_dtype_holding_the_bound(self, p, two_terms, three_terms):
+        assert oracle._working_dtype(p, 2) is two_terms
+        assert oracle._working_dtype(p, 3) is three_terms
+
+    def test_refuses_a_prime_too_large_for_int64(self):
+        with pytest.raises(ValueError, match="2147483647"):
+            oracle._working_dtype(2**31 - 1, 3)
+
+
+class TestEchelon:
+    @pytest.mark.parametrize("p", WIDTH_PRIMES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_row_space_matches_rref(self, p, seed):
+        rng = np.random.default_rng(seed)
+        dtype = oracle._working_dtype(p, 2)
+        for rows, cols, inner in [(8, 8, None), (12, 9, None), (7, 14, None),
+                                  (10, 10, 3), (14, 11, 1), (9, 12, 5), (6, 6, 0)]:
+            if inner is None:
+                work = rng.integers(0, p, size=(rows, cols))
+            else:
+                a = rng.integers(0, p, size=(rows, inner))
+                b = rng.integers(0, p, size=(inner, cols))
+                work = a @ b % p
+            want, piv = rref(work, p)
+            got = oracle._echelon(work.astype(dtype), p)
+            assert got.shape[0] == len(piv)
+            assert np.array_equal(rref(got, p)[0], want)
+
+
+class TestLargePrimes:
+    def test_large_prime_pair_stays_small(self):
+        # 12 + 12 - 1 <= p, so the answer is the characteristic-zero ladder
+        oracle._tensor_block_type.cache_clear()
+        tracemalloc.start()
+        try:
+            got = tensor_block_type(12, 12, 1000003)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == clebsch_gordan(12, 12)
+        assert peak < 5_000_000
 
 
 class TestTensorDualType:
