@@ -1,14 +1,16 @@
 """Ground-truth Jordan types from matrix ranks.
 
-The authoritative decomposition path: multiplicities come from kernel
-dimensions of powers of X = u - 1. There is one rank chain: a row basis of
-the row space of X^k is carried along, multiplied by X once per step and
-echelonized by the same `_echelon` at every prime, p = 2 included. Callers
-differ only in how they multiply by X. For J_m tensor J_n it is three array
-shifts on k[x, y]/(x^m, y^n), with no matrix built; an explicit matrix is
-multiplied as a CSR product. All arithmetic is integer and division-free,
-in the narrowest dtype (int8 to int64) that holds the chain's bound at p;
-a prime too large for int64 is refused.
+The authoritative decomposition path: multiplicities come from the ranks
+of powers of X = u - 1, and every rank is counted by the same division-free
+`_echelon` at every prime, p = 2 included. An explicit matrix goes through
+a rank chain: a row basis of the row space of X^k is carried along,
+multiplied by X as a CSR product and echelonized once per step. For
+J_m tensor J_n no operator is built: X is homogeneous of degree 1 on a
+graded ring, so rank X^k is a sum of ranks of binomial blocks at most
+min(m, n) wide, and all blocks of all powers go through one tagged
+`_echelon` call. All arithmetic is integer, in the narrowest dtype (int8 to
+int64) that holds the elimination's bound at p; a prime too large for int64
+is refused.
 """
 
 from __future__ import annotations
@@ -32,14 +34,16 @@ def _check_cap(side: int, max_entries: int) -> None:
     if side * side > max_entries:
         raise OracleCapError(
             f"{side}x{side} matrix ({side * side} entries) exceeds the cap of "
-            f"{max_entries}; pass a larger max_entries to allow it"
+            f"{max_entries}; pass a larger max_entries (--max-entries on the "
+            f"command line) to allow it"
         )
 
 
 def _working_dtype(p: int, max_col_terms: int):
-    """Narrowest integer dtype that cannot overflow during the chain.
+    """Narrowest integer dtype that cannot overflow while ranks are counted.
 
-    The product step sums at most max_col_terms products of entries < p; the
+    A rank chain's product step sums at most max_col_terms products of
+    entries < p (rows built directly, with no product, need 2); the
     elimination step adds two such products. All partial sums are
     non-negative and bounded by the final value, so a dtype that holds
     max(max_col_terms, 2) * (p-1)^2 + p holds every intermediate. A prime too
@@ -52,31 +56,44 @@ def _working_dtype(p: int, max_col_terms: int):
     raise ValueError(f"p = {p} is too large: elimination mod p would overflow int64")
 
 
-def _echelon(work: np.ndarray, p: int) -> np.ndarray:
+def _echelon(
+    work: np.ndarray, p: int, tags: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Row-echelon basis of the row space of work, with no division.
 
-    work must already be reduced mod p; it is consumed as scratch. Vectorized
-    rounds: every active row is bucketed by leading column, one row per new
-    column is accepted as a pivot as it stands, and every active row r then
-    becomes lead(pivot) * r + (p - lead(r)) * pivot for the pivot sharing its
-    lead. That clears r's lead without a modular inverse, since scaling by a
-    unit keeps the row space. A row just accepted becomes p times itself and
-    dies; every other surviving row's leading column strictly advances, so
-    the loop terminates.
+    work must already be reduced mod p; it is overwritten. tags, one
+    non-negative integer per row (all 0 when omitted), splits the rows into
+    independent problems: pivots are keyed on (tag, leading column), so a row
+    is only ever combined with pivots of its own tag, and the basis rows of
+    tag t span the row space of the input rows of tag t. Returns the basis
+    rows and the tag of each.
+
+    Vectorized rounds: every active row is bucketed by its pivot key, one
+    row per new key is accepted as a pivot as it stands, and every active row
+    r then becomes lead(pivot) * r + (p - lead(r)) * pivot for the pivot
+    sharing its key. That clears r's lead without a modular inverse, since
+    scaling by a unit keeps the row space. A row just accepted becomes p
+    times itself and dies; every other surviving row's leading column
+    strictly advances, so the loop terminates.
 
     Every entry then lies in [0, 2(p-1)^2], so for small p the reduction is a
     table gather instead of an integer-division pass; division is what would
     otherwise dominate the loop. Larger p falls back to a plain mod.
     """
-    ncols = work.shape[1]
-    acc = np.zeros((min(work.shape[0], ncols), ncols), dtype=work.dtype)
+    nrows, ncols = work.shape
+    if tags is None:
+        tags = np.zeros(nrows, dtype=np.intp)
+    nkeys = (int(tags.max()) + 1 if nrows else 1) * ncols
+    acc = np.zeros((min(nrows, nkeys), ncols), dtype=work.dtype)
     lead = np.zeros(acc.shape[0], dtype=work.dtype)
-    pivot_at = np.full(ncols, -1, dtype=np.intp)
+    acc_key = np.zeros(acc.shape[0], dtype=np.intp)
+    pivot_at = np.full(nkeys, -1, dtype=np.intp)
     count = 0
     act = work
+    base = tags * ncols
     top = 2 * (p - 1) * (p - 1) + 1
     canon = np.arange(top, dtype=act.dtype) % p if top <= 8192 else None
-    idx = np.arange(work.shape[0])
+    idx = np.arange(nrows)
     while act.shape[0]:
         leads = np.argmax(act != 0, axis=1)
         coef = act[idx[: act.shape[0]], leads]
@@ -88,16 +105,19 @@ def _echelon(work: np.ndarray, p: int) -> np.ndarray:
             act = act[alive]
             leads = leads[alive]
             coef = coef[alive]
-        pidx = pivot_at[leads]
+            base = base[alive]
+        keys = base + leads
+        pidx = pivot_at[keys]
         if pidx.min() < 0:
             fresh = pidx < 0
-            cols, order = np.unique(leads[fresh], return_index=True)
+            new, order = np.unique(keys[fresh], return_index=True)
             take = np.flatnonzero(fresh)[order]
-            acc[count : count + len(cols)] = act[take]
-            lead[count : count + len(cols)] = coef[take]
-            pivot_at[cols] = count + np.arange(len(cols))
-            count += len(cols)
-            pidx = pivot_at[leads]
+            acc[count : count + len(new)] = act[take]
+            lead[count : count + len(new)] = coef[take]
+            acc_key[count : count + len(new)] = new
+            pivot_at[new] = count + np.arange(len(new))
+            count += len(new)
+            pidx = pivot_at[keys]
         piv = acc[pidx]
         np.subtract(p, coef, out=coef)
         np.multiply(piv, coef[:, None], out=piv)
@@ -107,7 +127,7 @@ def _echelon(work: np.ndarray, p: int) -> np.ndarray:
             act = np.take(canon, act)
         else:
             np.mod(act, p, out=act)
-    return acc[:count]
+    return acc[:count], acc_key[:count] // ncols
 
 
 def _rank_chain(times_x, n: int, p: int, dtype) -> list[int]:
@@ -121,7 +141,7 @@ def _rank_chain(times_x, n: int, p: int, dtype) -> list[int]:
     ranks = [n]
     basis = np.eye(n, dtype=dtype)
     while True:
-        basis = _echelon(times_x(basis), p)
+        basis, _ = _echelon(times_x(basis), p)
         r = basis.shape[0]
         if r == ranks[-1] and r > 0:
             raise ValueError("matrix is not unipotent: rank of powers stalls above zero")
@@ -173,27 +193,52 @@ def jordan_type_of(M: PrimeFieldMatrix) -> JordanType:
 
 @lru_cache(maxsize=None)
 def _tensor_block_type(m: int, n: int, p: int) -> JordanType:
-    """J_m tensor J_n, acting on V_m tensor V_n = k[x, y]/(x^m, y^n).
+    """J_m tensor J_n from the ranks of the graded pieces of X^k; m <= n.
 
-    u tensor u - 1 is multiplication by x + y + xy, so a row of coefficients,
-    reshaped to (m, n), is multiplied by X with three shifted slice additions;
-    no operator matrix is built. The shift direction matches the row-vector
-    convention of jordan_block: (v J)_k = v_k + v_{k+1}.
+    On V_m tensor V_n = k[x, y]/(x^m, y^n), X = u tensor u - 1 is
+    multiplication by x + y + xy = x + v with v = y(1 + x). As 1 + x is a
+    unit, the ring is also k[x, v]/(x^m, v^n), graded by total degree, and
+    X^k = (x + v)^k maps R_d = span{x^i v^(d-i)} into R_(d+k) by
+    x^i v^j -> sum_a C(k, a) x^(i+a) v^(j+k-a), truncated. So rank X^k is the
+    sum over d of the ranks of these binomial blocks. A block's columns are
+    the exponents of x in R_(d+k), so it is at most m wide; the rows of
+    every block of every power go through one `_echelon` call, tagged by
+    (k, d), and no m*n-wide row is ever formed.
     """
+    top = m + n - 2  # highest degree, so X^(top+1) = 0
+    i, j = np.divmod(np.arange(m * n), n)
+    deg = i + j
+    order = np.argsort(deg, kind="stable")
+    i, deg = i[order], deg[order]
+    # X^k can be nonzero only on R_d with d <= top - k: a prefix in degree order
+    per_k = np.searchsorted(deg, top - np.arange(1, top + 1), side="right")
+    k = np.repeat(np.arange(1, top + 1), per_k)
+    src = np.arange(k.size) - np.repeat(np.cumsum(per_k) - per_k, per_k)
+    i, deg = i[src], deg[src]
+    # the exponent of v in the image stays below n while that of x is >= low
+    low = deg + k - (n - 1)
 
-    def times_x(rows: np.ndarray) -> np.ndarray:
-        a = rows.reshape(-1, m, n)
-        out = np.zeros_like(a)
-        out[:, :-1, :] = a[:, 1:, :]
-        out[:, :, :-1] += a[:, :, 1:]
-        out[:, :-1, :-1] += a[:, 1:, 1:]
-        np.mod(out, p, out=out)
-        return out.reshape(-1, m * n)
+    binom = np.zeros((top + 1, m), dtype=np.int64)
+    binom[0, 0] = 1
+    for r in range(1, top + 1):
+        binom[r] = binom[r - 1]
+        binom[r, 1:] += binom[r - 1, :-1]
+        binom[r] %= p
+    dtype = _working_dtype(p, 2)
+    binom = binom.astype(dtype)
 
-    side = m * n
-    # each product entry sums at most three shifted entries
-    ranks = _rank_chain(times_x, side, p, _working_dtype(p, 3))
-    return _checked(_blocks_from_ranks(ranks), side)
+    work = np.zeros((k.size, m), dtype=dtype)
+    rows = np.arange(k.size)
+    for a in range(m):
+        col = i + a
+        ok = (col < m) & (col >= low)
+        work[rows[ok], col[ok]] = binom[k[ok], a]
+
+    blocks, tags = np.unique(k * (top + 1) + deg, return_inverse=True)
+    _, pivot_tags = _echelon(work, p, tags)
+    ranks = np.bincount(blocks[pivot_tags] // (top + 1), minlength=top + 2)
+    ranks[0] = m * n
+    return _checked(_blocks_from_ranks(ranks.tolist()), m * n)
 
 
 def tensor_block_type(

@@ -5,12 +5,17 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Iterator, Mapping
+from functools import lru_cache
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every machine-word integer."""
+    """Deterministic Miller-Rabin; exact for every machine-word integer.
+
+    Memoized: every oracle call, cache hits included, re-checks its prime.
+    """
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite.
 
 Provides a seeded random partition generator, a dense matrix for the
-shifted tensor action, and the closed form for stepping a basis tensor
-down one rung of the ladder in V_n (x) V_n*.
+shifted tensor action, the ungraded rank chain for J_m (x) J_n that the
+graded oracle is tested against, and the closed form for stepping a basis
+tensor down one rung of the ladder in V_n (x) V_n*.
 """
 
 import random
@@ -10,6 +11,7 @@ import random
 import numpy as np
 
 from jordanblocks import JordanType, block_diagonal, dual_action, jordan_block, kronecker
+from jordanblocks import oracle
 
 
 def random_type(rng: random.Random, max_dim: int, *, divisible_by: int = 1) -> JordanType:
@@ -42,6 +44,30 @@ def tensor_x_matrix(t: JordanType, p: int) -> np.ndarray:
     full = kronecker(u, dual_action(u)).array
     n2 = full.shape[0]
     return (full - np.eye(n2, dtype=np.int64)) % p
+
+
+def shift_chain_tensor_type(m: int, n: int, p: int) -> JordanType:
+    """J_m (x) J_n by the rank chain on all of V_m (x) V_n = k[x, y]/(x^m, y^n).
+
+    u (x) u - 1 is multiplication by x + y + xy, so a row of coefficients,
+    reshaped to (m, n), is multiplied by X with three shifted slice
+    additions; the row basis of each power is echelonized m*n wide. This is
+    the engine the graded oracle replaced, kept as its referee. The shift
+    direction matches the row-vector convention of jordan_block.
+    """
+
+    def times_x(rows: np.ndarray) -> np.ndarray:
+        a = rows.reshape(-1, m, n)
+        out = np.zeros_like(a)
+        out[:, :-1, :] = a[:, 1:, :]
+        out[:, :, :-1] += a[:, :, 1:]
+        out[:, :-1, :-1] += a[:, 1:, 1:]
+        np.mod(out, p, out=out)
+        return out.reshape(-1, m * n)
+
+    # each product entry sums at most three shifted entries
+    ranks = oracle._rank_chain(times_x, m * n, p, oracle._working_dtype(p, 3))
+    return oracle._blocks_from_ranks(ranks)
 
 
 def step_formula(i: int, j: int, n: int, beta: int, p: int) -> dict[tuple[int, int], int]:

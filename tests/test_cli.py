@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from jordanblocks import JordanType, parse_jordan_type
+from jordanblocks import JordanType, free_rule, parse_jordan_type
 from jordanblocks.cli import main
 
 
@@ -77,10 +77,35 @@ class TestDecompose:
         assert "prime" in err
 
     def test_prime_too_large_for_int64_is_refused(self, capsys):
-        code, _, err = run(capsys, "decompose", "--p", "2147483647", "--type", "2")
+        # the first prime above 2^31 - 1; 2(p-1)^2 + p no longer fits in int64
+        code, _, err = run(capsys, "decompose", "--p", "2147483659", "--type", "2")
         assert code == 3
         assert "error:" in err
-        assert "2147483647" in err
+        assert "2147483659" in err
+
+    def test_largest_prime_int64_holds_is_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "decompose", "--p", "2147483647", "--type", "2", "--rep", "tensor"
+        )
+        assert code == 0
+        assert out.strip() == "1, 3"
+
+    def test_cap_error_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "decompose", "--p", "5", "--type", "25", "--rep", "tensor")
+        assert code == 3
+        assert out == ""
+        assert "exceeds the cap" in err
+        assert "--max-entries" in err
+
+    def test_max_entries_raises_the_cap(self, capsys):
+        # the 625-row carrier needs 390625 entries; 25 = 5^2 makes it 25 free blocks
+        code, out, _ = run(
+            capsys, "decompose", "--p", "5", "--type", "25", "--rep", "tensor",
+            "--max-entries", "400000",
+        )
+        assert code == 0
+        assert out.strip() == "25^25"
+        assert parse_jordan_type(out.strip()) == free_rule(25, 2, 5)
 
     def test_classical_type_constraint_is_enforced(self, capsys):
         # a symplectic form forces odd sizes to pair up
@@ -122,6 +147,15 @@ class TestSweep:
         rows = out.strip().splitlines()
         assert rows
         assert {row.split(";")[0] for row in rows} == {"4", "6"}
+
+    def test_max_entries_reaches_every_carrier(self, capsys):
+        # n = 15 at p = 2 needs the 225-row pair 15 x 15, past the default cap
+        code, _, err = run(capsys, "sweep", "--p", "2", "--max-n", "15")
+        assert code == 3
+        assert "exceeds the cap" in err
+        code, out, _ = run(capsys, "sweep", "--p", "2", "--max-n", "15", "--max-entries", "60000")
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "15;2;1^15;1^225;1^224;i"
 
     def test_json_rows_parse(self, capsys):
         code, out, _ = run(capsys, "sweep", "--p", "3", "--max-n", "4", "--json")

@@ -33,6 +33,8 @@ from jordanblocks import (
 from jordanblocks import oracle
 from jordanblocks.linalg import inverse, kernel_dim, rref
 
+from helpers import shift_chain_tensor_type
+
 PRIMES = [2, 3, 5, 7]
 
 # every 1 <= m <= n <= 12, plus pairs on both sides of 256 rows, at each prime
@@ -54,6 +56,9 @@ TENSOR_EXAMPLES = [
 
 # p = 2, then primes on both sides of every width change of the working dtype
 WIDTH_PRIMES = [2, 7, 11, 127, 131, 10007, 1000003]
+
+# one prime per working dtype, int8 to int64
+TAGGED_PRIMES = [2, 7, 131, 10007, 1000003]
 
 
 def unipotent_of_type(t: JordanType, p: int) -> PrimeFieldMatrix:
@@ -105,6 +110,18 @@ class TestTensorBlockType:
     def test_agrees_with_direct_matrix_computation(self, m, n, p):
         M = kronecker(jordan_block(m, p), dual_action(jordan_block(n, p)))
         assert jordan_type_of(M) == tensor_block_type(m, n, p, max_entries=(m * n) ** 2)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_graded_engine_matches_shift_chain(self, p):
+        # every 1 <= m <= n <= 20: 210 pairs per prime, 840 in all
+        wrong = [
+            (m, n)
+            for n in range(1, 21)
+            for m in range(1, n + 1)
+            if tensor_block_type(m, n, p, max_entries=(m * n) ** 2)
+            != shift_chain_tensor_type(m, n, p)
+        ]
+        assert wrong == []
 
     @pytest.mark.parametrize(
         "m, n, p", [(3, 4, 2), (4, 4, 3), (2, 5, 5), (5, 6, 2), (4, 8, 2)]
@@ -209,9 +226,28 @@ class TestEchelon:
                 b = rng.integers(0, p, size=(inner, cols))
                 work = a @ b % p
             want, piv = rref(work, p)
-            got = oracle._echelon(work.astype(dtype), p)
+            got, _ = oracle._echelon(work.astype(dtype), p)
             assert got.shape[0] == len(piv)
             assert np.array_equal(rref(got, p)[0], want)
+
+    @pytest.mark.parametrize("p", TAGGED_PRIMES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tags_split_the_elimination(self, p, seed):
+        # random rows, some of them rank-deficient products, under random tags
+        rng = np.random.default_rng(seed)
+        cols, ntags = 9, 7
+        work = np.vstack([
+            rng.integers(0, p, size=(20, cols)),
+            rng.integers(0, p, size=(40, 2)) @ rng.integers(0, p, size=(2, cols)) % p,
+            np.zeros((3, cols), dtype=np.int64),
+        ])
+        tags = rng.integers(0, ntags, size=work.shape[0])
+        got, got_tags = oracle._echelon(work.astype(oracle._working_dtype(p, 2)), p, tags)
+        counts = np.bincount(got_tags, minlength=ntags)
+        for t in range(ntags):
+            want, piv = rref(work[tags == t], p)
+            assert counts[t] == len(piv)
+            assert np.array_equal(rref(got[got_tags == t], p)[0], want)
 
 
 class TestLargePrimes:
@@ -226,6 +262,20 @@ class TestLargePrimes:
             tracemalloc.stop()
         assert got == clebsch_gordan(12, 12)
         assert peak < 5_000_000
+
+
+class TestMemory:
+    def test_cold_30x30_pair_stays_small(self):
+        # the graded blocks are at most 30 wide; a 900-wide chain is not needed
+        oracle._tensor_block_type.cache_clear()
+        tracemalloc.start()
+        try:
+            got = tensor_block_type(30, 30, 3, max_entries=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.dim == 900
+        assert peak < 16_000_000
 
 
 class TestTensorDualType:
