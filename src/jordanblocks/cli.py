@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
-from .oracle import DEFAULT_MAX_ENTRIES, ext2_type, sym2_type, tensor_dual_type
+from .oracle import ext2_type, sym2_type, tensor_dual_type
 from .partitions import JordanType, parse_jordan_type, partitions_of
 from .reports import build_report
 from .rules import GroupContext, validate_classical
@@ -61,17 +61,16 @@ def _load_fixture(path: str | None) -> list[FixtureRow]:
 def cmd_decompose(args: argparse.Namespace) -> int:
     t = parse_jordan_type(args.type)
     ctx = GroupContext(_GROUPS[args.group], t.dim, args.p)
-    cap = args.max_entries
-    report = build_report(t, ctx, verify=args.verify, max_entries=cap)
+    report = build_report(t, ctx, verify=args.verify)
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:
         if args.rep == "tensor":
-            shown = tensor_dual_type(t, ctx.p, max_entries=cap)
+            shown = tensor_dual_type(t, ctx.p)
         elif args.rep == "ext2":
-            shown = ext2_type(t, ctx.p, max_entries=cap)
+            shown = ext2_type(t, ctx.p)
         elif args.rep == "sym2":
-            shown = sym2_type(t, ctx.p, max_entries=cap)
+            shown = sym2_type(t, ctx.p)
         else:
             shown = report.irreducible
         print(shown.render())
@@ -115,7 +114,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for t in partitions_of(n):
             if not validate_classical(t, ctx).ok:
                 continue
-            report = build_report(t, ctx, max_entries=args.max_entries)
+            report = build_report(t, ctx)
             if args.multiplicity_free_only and not report.irreducible.is_multiplicity_free():
                 continue
             if args.json:
@@ -126,16 +125,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     f"{report.irreducible.render()};{report.rule}"
                 )
     return 0
-
-
-def _add_max_entries(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-entries",
-        type=int,
-        default=DEFAULT_MAX_ENTRIES,
-        help="largest matrix, in entries, the oracle may build "
-        f"(default {DEFAULT_MAX_ENTRIES})",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -162,7 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recompute the irreducible type a second way and report agreement",
     )
     dec.add_argument("--json", action="store_true", help="emit the full report as JSON")
-    _add_max_entries(dec)
     dec.set_defaults(func=cmd_decompose)
 
     rep = sub.add_parser(
@@ -183,7 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="only rows whose irreducible type is multiplicity-free",
     )
     swp.add_argument("--json", action="store_true", help="one JSON record per row")
-    _add_max_entries(swp)
     swp.set_defaults(func=cmd_sweep)
     return parser
 

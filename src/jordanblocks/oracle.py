@@ -34,8 +34,8 @@ def _check_cap(side: int, max_entries: int) -> None:
     if side * side > max_entries:
         raise OracleCapError(
             f"{side}x{side} matrix ({side * side} entries) exceeds the cap of "
-            f"{max_entries}; pass a larger max_entries (--max-entries on the "
-            f"command line) to allow it"
+            f"{max_entries}; the cap is the max_entries argument of the Python "
+            f"API (e.g. jordanblocks.build_report): pass a larger one to allow it"
         )
 
 
@@ -205,6 +205,7 @@ def _tensor_block_type(m: int, n: int, p: int) -> JordanType:
     every block of every power go through one `_echelon` call, tagged by
     (k, d), and no m*n-wide row is ever formed.
     """
+    dtype = _working_dtype(p, 2)  # refuses a too-large p before any arithmetic
     top = m + n - 2  # highest degree, so X^(top+1) = 0
     i, j = np.divmod(np.arange(m * n), n)
     deg = i + j
@@ -224,7 +225,6 @@ def _tensor_block_type(m: int, n: int, p: int) -> JordanType:
         binom[r] = binom[r - 1]
         binom[r, 1:] += binom[r - 1, :-1]
         binom[r] %= p
-    dtype = _working_dtype(p, 2)
     binom = binom.astype(dtype)
 
     work = np.zeros((k.size, m), dtype=dtype)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from jordanblocks import JordanType, free_rule, parse_jordan_type
+from jordanblocks import JordanType, parse_jordan_type
 from jordanblocks.cli import main
 
 
@@ -90,22 +90,14 @@ class TestDecompose:
         assert code == 0
         assert out.strip() == "1, 3"
 
-    def test_cap_error_names_the_flag(self, capsys):
-        code, out, err = run(capsys, "decompose", "--p", "5", "--type", "25", "--rep", "tensor")
+    def test_prime_past_int64_is_refused_before_any_arithmetic(self, capsys):
+        # 2^127 - 1 is prime; it must be refused as an error, not overflow numpy
+        p = str(2**127 - 1)
+        code, out, err = run(capsys, "decompose", "--p", p, "--type", "2")
         assert code == 3
         assert out == ""
-        assert "exceeds the cap" in err
-        assert "--max-entries" in err
-
-    def test_max_entries_raises_the_cap(self, capsys):
-        # the 625-row carrier needs 390625 entries; 25 = 5^2 makes it 25 free blocks
-        code, out, _ = run(
-            capsys, "decompose", "--p", "5", "--type", "25", "--rep", "tensor",
-            "--max-entries", "400000",
-        )
-        assert code == 0
-        assert out.strip() == "25^25"
-        assert parse_jordan_type(out.strip()) == free_rule(25, 2, 5)
+        assert err.startswith("error:")
+        assert p in err
 
     def test_classical_type_constraint_is_enforced(self, capsys):
         # a symplectic form forces odd sizes to pair up
@@ -147,15 +139,6 @@ class TestSweep:
         rows = out.strip().splitlines()
         assert rows
         assert {row.split(";")[0] for row in rows} == {"4", "6"}
-
-    def test_max_entries_reaches_every_carrier(self, capsys):
-        # n = 15 at p = 2 needs the 225-row pair 15 x 15, past the default cap
-        code, _, err = run(capsys, "sweep", "--p", "2", "--max-n", "15")
-        assert code == 3
-        assert "exceeds the cap" in err
-        code, out, _ = run(capsys, "sweep", "--p", "2", "--max-n", "15", "--max-entries", "60000")
-        assert code == 0
-        assert out.strip().splitlines()[-1] == "15;2;1^15;1^225;1^224;i"
 
     def test_json_rows_parse(self, capsys):
         code, out, _ = run(capsys, "sweep", "--p", "3", "--max-n", "4", "--json")
