@@ -6,7 +6,8 @@ the dual space carries the contragredient action. The functions here give
 closed forms for powers of X = u - 1 on basis vectors, build the alternating
 diagonal-sum vectors delta_beta, and realize the induced action on the
 kernel of the evaluation form (modulo the invariant line when p divides
-dim V) as an explicit matrix.
+dim V) as an explicit matrix, either whole or one summand V_r tensor V_s^*
+at a time.
 
 Index convention: a basis vector e_i or dual vector e_i^* with i outside
 1..n denotes the zero vector, so shifts that fall off a block vanish
@@ -17,12 +18,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .linalg import PrimeFieldMatrix, block_diagonal, dual_action, jordan_block, kronecker
+from .oracle import _checked, jordan_type_of
 from .partitions import JordanType, PrimeChar, alpha_of, binom_mod_p
 
 __all__ = [
@@ -362,6 +365,41 @@ def verify_delta_ladder(t: JordanType, p: int) -> LadderVerdict:
     return LadderVerdict(True, None)
 
 
+def _trace_kernel_quotient(
+    u0: np.ndarray, phi: np.ndarray, n: int, p: int
+) -> PrimeFieldMatrix:
+    """u0 restricted to the kernel of the form phi, mod the identity if p | n.
+
+    u0 acts on a space holding the identity of End(V), dim V = n, whose
+    coordinates are phi itself; phi[0] = 1 and u0 preserves phi. The form's
+    only pivot is its first coordinate, so the kernel basis is
+    e_a - phi_a e_0 for a >= 1 and coordinates in it are plain coordinate
+    reads. In that basis the identity has coordinates gamma = phi[1:]; when
+    p | n it lies in the kernel and the quotient drops the coordinate of
+    gamma's first nonzero.
+    """
+    # Row a of W is the image of the kernel basis vector e_a - phi_a e_0.
+    w = (u0[1:] - np.outer(phi[1:], u0[0])) % p
+    coords = w[:, 1:]
+    if n % p:
+        return PrimeFieldMatrix(coords, p)
+    gamma = phi[1:]
+    lead = int(np.flatnonzero(gamma)[0])
+    reduced = (coords - np.outer(coords[:, lead], gamma)) % p
+    keep = np.arange(gamma.size) != lead
+    return PrimeFieldMatrix(reduced[np.ix_(keep, keep)], p)
+
+
+def _require_adjoint_input(t: JordanType, p: int) -> int:
+    if not t:
+        raise ValueError("empty Jordan type")
+    PrimeChar(int(p))
+    n = t.dim
+    if n < 2:
+        raise ValueError(f"need dim >= 2, got {n}")
+    return n
+
+
 def build_adjoint_action(t: JordanType, p: int) -> PrimeFieldMatrix:
     """Matrix of u on the kernel of the evaluation form, mod the fixed line.
 
@@ -371,28 +409,55 @@ def build_adjoint_action(t: JordanType, p: int) -> PrimeFieldMatrix:
     spanned by the diagonal sum. The result is unipotent of size n^2 - 1
     when p does not divide n, and n^2 - 2 when it does.
 
-    The kernel basis is deterministic: the form's only pivot is its first
-    coordinate, so the basis vectors are e_a - phi_a e_0 for a >= 1, and
-    coordinates in that basis are plain coordinate reads.
+    The kernel and quotient step is `_trace_kernel_quotient`, shared with
+    the summand-by-summand route: the form's first coordinate is its pivot,
+    and the quotient drops the coordinate of the diagonal sum's first nonzero
+    in the kernel basis. Here that is e_2 tensor e_2^*, kernel index n.
     """
-    if not t:
-        raise ValueError("empty Jordan type")
-    PrimeChar(int(p))
-    n = t.dim
-    if n < 2:
-        raise ValueError(f"need dim >= 2, got {n}")
+    n = _require_adjoint_input(t, p)
     u = block_diagonal([jordan_block(d, p) for d in _block_sizes(t)])
     u0 = kronecker(u, dual_action(u)).array
     phi = np.zeros(n * n, dtype=np.int64)
     phi[:: n + 1] = 1
-    # Row a of W is the image of the kernel basis vector e_a - phi_a e_0.
-    w = (u0[1:] - np.outer(phi[1:], u0[0])) % p
-    coords = w[:, 1:]
-    if n % p:
-        return PrimeFieldMatrix(coords, p)
-    # Diagonal-sum coordinates in the kernel basis; first nonzero at n + 1.
-    gamma = phi[1:]
-    lead = n
-    reduced = (coords - np.outer(coords[:, lead], gamma)) % p
-    keep = np.arange(n * n - 1) != lead
-    return PrimeFieldMatrix(reduced[np.ix_(keep, keep)], p)
+    return _trace_kernel_quotient(u0, phi, n, p)
+
+
+@lru_cache(maxsize=None)
+def _piece_type(r: int, s: int, p: int) -> JordanType:
+    """Jordan type of u on V_r tensor V_s^*, r <= s, by elimination."""
+    return jordan_type_of(kronecker(jordan_block(r, p), dual_action(jordan_block(s, p))))
+
+
+@lru_cache(maxsize=None)
+def _diagonal_block(d: int, p: int) -> PrimeFieldMatrix:
+    j = jordan_block(d, p)
+    return kronecker(j, dual_action(j))
+
+
+def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
+    """Jordan type of u on the adjoint module, summand by summand.
+
+    With V the sum of blocks V_r, V tensor V* is the sum of the u-invariant
+    pieces V_r tensor V_s^*. The evaluation form vanishes on every piece with
+    r != s and the identity lies in D, the sum of the r = s pieces, so the
+    adjoint module is the sum of the r != s pieces plus (ker of the form on
+    D) / <identity>. Each r != s piece is read off an r*s-square matrix; only
+    D, of dimension the sum of d_r^2, goes through `_trace_kernel_quotient`.
+    No rule and no tensor-pair engine is used.
+    """
+    n = _require_adjoint_input(t, p)
+    p = int(p)
+    out = JordanType()
+    for d1, m1 in t:
+        for d2, m2 in t:
+            copies = m1 * m2 if d1 != d2 else m1 * (m1 - 1)
+            if copies:
+                # V_s tensor V_r^* is the dual module of V_r tensor V_s^*, and
+                # u^-T has the Jordan type of u, so one memo serves both orders.
+                piece = _piece_type(min(d1, d2), max(d1, d2), p)
+                out = out + JordanType({size: m * copies for size, m in piece})
+    sizes = _block_sizes(t)
+    u0 = block_diagonal([_diagonal_block(d, p) for d in sizes]).array
+    phi = np.concatenate([np.eye(d, dtype=np.int64).ravel() for d in sizes])
+    out = out + jordan_type_of(_trace_kernel_quotient(u0, phi, n, p))
+    return _checked(out, n * n - 1 - (n % p == 0))

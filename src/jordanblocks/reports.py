@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .construction import build_adjoint_action
+from .construction import _split_adjoint_type
 from .oracle import (
     DEFAULT_MAX_ENTRIES,
     ext2_type,
-    jordan_type_of,
     sym2_type,
     tensor_dual_type,
 )
@@ -66,16 +65,20 @@ class DecompositionReport:
 def _verify(report: DecompositionReport, max_entries: int) -> bool:
     """Recompute the irreducible type by an independent route.
 
-    SL: build the action on the kernel of the evaluation form explicitly
-    and read off its Jordan type. Sp/SO: check the complementary-square
-    identity, i.e. that the irreducible type plus the other square equals
-    the SL result on V tensor V*.
+    SL: build u on the adjoint module summand by summand and read off
+    Jordan types by elimination, with no rule and no tensor-pair engine.
+    Each piece V_r tensor V_s^* of two different blocks is u-invariant and
+    killed by the evaluation form, so it is its own (r*s)-square matrix,
+    memoized by its sizes; only the diagonal part, of dimension the sum of
+    d_r^2, is restricted to the form's kernel and taken mod the identity
+    when p | n. Sp/SO: check the complementary-square identity, i.e. that
+    the irreducible type plus the other square equals the SL result on
+    V tensor V*.
     """
     ctx = report.context
     t = report.input_type
     if ctx.kind == "SL":
-        constructed = jordan_type_of(build_adjoint_action(t, ctx.p))
-        return constructed == report.irreducible
+        return _split_adjoint_type(t, ctx.p) == report.irreducible
     sl_ctx = GroupContext("SL", ctx.n, ctx.p)
     adjoint = adjoint_rule(
         tensor_dual_type(t, ctx.p, max_entries=max_entries), t, sl_ctx

@@ -38,6 +38,7 @@ from jordanblocks import (
     x_power_on_dual,
     x_power_on_tensor,
 )
+from jordanblocks import construction
 from jordanblocks.cli import _load_fixture
 from helpers import random_type, step_formula, tensor_x_matrix
 
@@ -62,7 +63,9 @@ def test_criterion_1_reference_table_reproduced_two_ways():
         assert tensor_dual_type(t, p) == tensor, (n, p, t.render())
         ctx = GroupContext("SL", n, p)
         assert adjoint_rule(tensor, t, ctx) == irr, (n, p, t.render())
-        assert jordan_type_of(build_adjoint_action(t, p)) == irr, (n, p, t.render())
+        want = jordan_type_of(build_adjoint_action(t, p))
+        assert want == irr, (n, p, t.render())
+        assert construction._split_adjoint_type(t, p) == want, (n, p, t.render())
     report("criterion 1: 39/39 reference rows reproduced two independent ways", start)
 
 
@@ -76,6 +79,7 @@ def test_criterion_2_rule_agrees_with_construction_for_every_partition():
                 got = adjoint_rule(tensor_dual_type(t, p), t, ctx)
                 want = jordan_type_of(build_adjoint_action(t, p))
                 assert got == want, (t.render(), p)
+                assert construction._split_adjoint_type(t, p) == want, (t.render(), p)
                 checked += 1
     assert checked == 137 * 4
     report(f"criterion 2: rule == construction on {checked} partition/prime pairs", start)

@@ -1,15 +1,19 @@
 """Tests for explicit tensor vectors, shift powers, and the delta ladder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
 from jordanblocks import (
+    GroupContext,
     JordanType,
     LadderVerdict,
     TensorVector,
     alpha_of,
     build_adjoint_action,
+    build_report,
     delta,
     delta_ladder,
     dual_action,
@@ -21,7 +25,7 @@ from jordanblocks import (
     x_power_on_dual,
     x_power_on_tensor,
 )
-from jordanblocks import construction
+from jordanblocks import construction, oracle
 from helpers import tensor_x_matrix
 
 
@@ -295,3 +299,20 @@ class TestBuildAdjointAction:
             t = JordanType(blocks)
             drop = 2 if t.dim % p == 0 else 1
             assert jordan_type_of(build_adjoint_action(t, p)).dim == t.dim**2 - drop
+
+
+class TestVerifyMemory:
+    @pytest.mark.parametrize("blocks", [{1: 200}, {2: 10, 3: 20}], ids=["1^200", "2^10,3^20"])
+    def test_many_small_blocks_stay_small(self, blocks):
+        # only the sum-of-d_r^2-square diagonal part is built, never n^2-square
+        t = JordanType(blocks)
+        for memo in (construction._piece_type, construction._diagonal_block, oracle._tensor_block_type):
+            memo.cache_clear()
+        tracemalloc.start()
+        try:
+            report = build_report(t, GroupContext("SL", t.dim, 2), verify=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verified is True
+        assert peak < 8_000_000
