@@ -12,16 +12,17 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
 
 from .oracle import ext2_type, sym2_type, tensor_dual_type
-from .partitions import JordanType, parse_jordan_type, partitions_of
+from .partitions import JordanType, PrimeChar, parse_jordan_type, partitions_of
 from .reports import build_report
 from .rules import GroupContext, validate_classical
 
 __all__ = ["main"]
 
 _GROUPS = {"sl": "SL", "sp": "Sp", "so": "SO"}
+# first dimension and step of the dimensions each group's sweep covers
+_SWEEP_DIMS = {"SL": (2, 1), "Sp": (4, 2), "SO": (5, 1)}
 
 FixtureRow = tuple[int, int, JordanType, JordanType, JordanType]
 
@@ -34,7 +35,10 @@ def _load_fixture(path: str | None) -> list[FixtureRow]:
             .read_text(encoding="utf-8")
         )
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot read fixture: {exc}") from exc
     rows: list[FixtureRow] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -99,17 +103,11 @@ def cmd_reproduce_table(args: argparse.Namespace) -> int:
     return 4 if failures else 0
 
 
-def _sweep_dims(kind: str, max_n: int) -> Iterator[int]:
-    if kind == "SL":
-        return iter(range(2, max_n + 1))
-    if kind == "Sp":
-        return iter(range(4, max_n + 1, 2))
-    return iter(range(5, max_n + 1))
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     kind = _GROUPS[args.group]
-    for n in _sweep_dims(kind, args.max_n):
+    PrimeChar(args.p)  # also when --max-n leaves no dimension to sweep
+    first, step = _SWEEP_DIMS[kind]
+    for n in range(first, args.max_n + 1, step):
         ctx = GroupContext(kind, n, args.p)
         for t in partitions_of(n):
             if not validate_classical(t, ctx).ok:

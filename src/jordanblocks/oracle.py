@@ -8,9 +8,12 @@ multiplied by X as a CSR product and echelonized once per step. For
 J_m tensor J_n no operator is built: X is homogeneous of degree 1 on a
 graded ring, so rank X^k is a sum of ranks of binomial blocks at most
 min(m, n) wide, and all blocks of all powers go through one tagged
-`_echelon` call. All arithmetic is integer, in the narrowest dtype (int8 to
-int64) that holds the elimination's bound at p; a prime too large for int64
-is refused.
+`_echelon` call. At odd p the squares of one block V_d take alternate
+decreasing parts of V_d tensor V_d (Barry 2011, Gow-Laffey 2006; an
+exhaustive test is the warrant, see `_square_single`); only the exterior
+square at p = 2 is still read off an explicit matrix. All arithmetic is
+integer, in the narrowest dtype (int8 to int64) that holds the elimination's
+bound at p; a prime too large for int64 is refused.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sparse
 
-from .linalg import PrimeFieldMatrix, exterior_square, jordan_block, symmetric_square
+from .linalg import PrimeFieldMatrix, exterior_square, jordan_block
 from .partitions import JordanType, PrimeChar
 
 DEFAULT_MAX_ENTRIES = 40_000
@@ -256,15 +259,20 @@ def tensor_block_type(
 
 
 @lru_cache(maxsize=None)
-def _ext2_single(d: int, p: int) -> JordanType:
-    if d == 1:
-        return JordanType()
-    return jordan_type_of(exterior_square(jordan_block(d, p)))
+def _square_single(d: int, p: int, alternating: bool) -> JordanType:
+    """Exterior (alternating) or symmetric square of one Jordan block V_d.
 
-
-@lru_cache(maxsize=None)
-def _sym2_single(d: int, p: int) -> JordanType:
-    return jordan_type_of(symmetric_square(jordan_block(d, p)))
+    For odd p, sort the d parts of V_d tensor V_d as l_1 >= ... >= l_d: S^2 V_d
+    has l_1, l_3, ... and the exterior square l_2, l_4, ... (Barry, J. Group
+    Theory 14 (2011); compare Gow-Laffey, J. Group Theory 9 (2006)); an
+    exhaustive test against the explicit squares is the warrant. At p = 2, which
+    sym2_type refuses, the rule fails for every 2 <= d <= 24 (the exterior square
+    of V_2 is V_1, not V_2), so the exterior square is read off its matrix.
+    """
+    if p == 2 and d > 1:
+        return jordan_type_of(exterior_square(jordan_block(d, p)))
+    parts = sorted((s for s, m in _tensor_block_type(d, d, p) for _ in range(m)), reverse=True)
+    return JordanType((s, 1) for s in parts[int(alternating) :: 2])
 
 
 def tensor_dual_type(
@@ -286,43 +294,37 @@ def tensor_dual_type(
 
 
 def _square_type(
-    t: JordanType, p: int, single, diag_side: int, max_entries: int
+    t: JordanType, p: int, alternating: bool, max_entries: int
 ) -> JordanType:
+    """Exterior (alternating) or symmetric square of V: each block adds its
+    own square, each unordered pair of blocks their tensor product."""
+    if not t:
+        raise ValueError("empty Jordan type")
+    p = int(PrimeChar(int(p)))
+    side = -1 if alternating else 1
     out = JordanType()
     for i, (d1, m1) in enumerate(t):
-        _check_cap(d1 * (d1 + diag_side) // 2, max_entries)
-        part = single(d1, p)
-        if part and m1:
-            out = out + JordanType({s: m * m1 for s, m in part})
-        cross_self = m1 * (m1 - 1) // 2
-        if cross_self:
-            part = tensor_block_type(d1, d1, p, max_entries=max_entries)
-            out = out + JordanType({s: m * cross_self for s, m in part})
-        for d2, m2 in list(t)[i + 1 :]:
-            part = tensor_block_type(d1, d2, p, max_entries=max_entries)
-            out = out + JordanType({s: m * m1 * m2 for s, m in part})
-    return out
+        _check_cap(d1 * (d1 + side) // 2, max_entries)
+        out = out + JordanType({s: m * m1 for s, m in _square_single(d1, p, alternating)})
+        for d2, m2 in list(t)[i:]:
+            pairs = m1 * (m1 - 1) // 2 if d2 == d1 else m1 * m2
+            if pairs:
+                part = tensor_block_type(d1, d2, p, max_entries=max_entries)
+                out = out + JordanType({s: m * pairs for s, m in part})
+    return _checked(out, t.dim * (t.dim + side) // 2)
 
 
 def ext2_type(
     t: JordanType, p: int, *, max_entries: int = DEFAULT_MAX_ENTRIES
 ) -> JordanType:
     """Jordan type of u on the exterior square of V."""
-    if not t:
-        raise ValueError("empty Jordan type")
-    PrimeChar(int(p))
-    out = _square_type(t, int(p), _ext2_single, -1, max_entries)
-    return _checked(out, t.dim * (t.dim - 1) // 2)
+    return _square_type(t, p, True, max_entries)
 
 
 def sym2_type(
     t: JordanType, p: int, *, max_entries: int = DEFAULT_MAX_ENTRIES
 ) -> JordanType:
     """Jordan type of u on the symmetric square of V; needs p > 2."""
-    if not t:
-        raise ValueError("empty Jordan type")
     if p == 2:
         raise ValueError("sym2_type requires p > 2")
-    PrimeChar(int(p))
-    out = _square_type(t, int(p), _sym2_single, 1, max_entries)
-    return _checked(out, t.dim * (t.dim + 1) // 2)
+    return _square_type(t, p, False, max_entries)

@@ -1,11 +1,14 @@
 """Tests for the command line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from jordanblocks import JordanType, parse_jordan_type
 from jordanblocks.cli import main
+
+SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sweep.txt"
 
 
 def run(capsys, *argv):
@@ -65,6 +68,12 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", "--p", "2", "--type", "3", "--rep", "sym2")
         assert code == 3
         assert "p > 2" in err
+
+    def test_square_cap_is_not_the_pair_cap(self, capsys):
+        # S^2 V_15 is 120-square; the 15 x 15 pair it is read off is 225-square
+        code, out, _ = run(capsys, "decompose", "--p", "3", "--type", "15", "--group", "so")
+        assert code == 0
+        assert out == "1, 3, 9, 15^2, 21, 27^2\n"
 
     def test_bad_partition_text(self, capsys):
         code, _, err = run(capsys, "decompose", "--p", "3", "--type", "junk")
@@ -140,6 +149,24 @@ class TestSweep:
         assert rows
         assert {row.split(";")[0] for row in rows} == {"4", "6"}
 
+    def test_composite_characteristic_with_nothing_to_sweep(self, capsys):
+        code, out, err = run(capsys, "sweep", "--p", "4", "--max-n", "1")
+        assert code == 3
+        assert out == ""
+        assert "prime" in err
+
+    @pytest.mark.parametrize("group", ["sp", "so"])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_classical_rows_match_the_benchmark_reference(self, capsys, group, p):
+        want = []
+        for line in SWEEP_REFERENCE.read_text(encoding="utf-8").splitlines():
+            if line.startswith(f"{group};{p};14;"):
+                want.append(line.split(";", 3)[3])
+        assert want
+        code, out, _ = run(capsys, "sweep", "--p", str(p), "--max-n", "14", "--group", group)
+        assert code == 0
+        assert out.splitlines() == want
+
     def test_json_rows_parse(self, capsys):
         code, out, _ = run(capsys, "sweep", "--p", "3", "--max-n", "4", "--json")
         assert code == 0
@@ -174,6 +201,12 @@ class TestReproduceTable:
         bad.write_text("# only a comment\n")
         code, _, err = run(capsys, "reproduce-table", "--fixture", str(bad))
         assert code == 3
+
+    def test_missing_fixture_is_rejected(self, capsys, tmp_path):
+        code, out, err = run(capsys, "reproduce-table", "--fixture", str(tmp_path / "none.txt"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: cannot read fixture")
 
 
 class TestArgumentHandling:

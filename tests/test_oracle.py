@@ -61,6 +61,10 @@ WIDTH_PRIMES = [2, 7, 11, 127, 131, 10007, 1000003]
 TAGGED_PRIMES = [2, 7, 131, 10007, 1000003]
 
 
+# largest single block whose squares are checked against the explicit matrices
+SQUARE_RULE_TOP = {3: 40, 5: 40, 7: 30, 11: 30, 13: 30}
+
+
 def unipotent_of_type(t: JordanType, p: int) -> PrimeFieldMatrix:
     return block_diagonal([jordan_block(s, p) for s, m in t for _ in range(m)])
 
@@ -315,6 +319,29 @@ class TestSquareTypes:
         t = JordanType(blocks)
         U = unipotent_of_type(t, p)
         assert jordan_type_of(symmetric_square(U)) == sym2_type(t, p)
+
+    @pytest.mark.parametrize("p", sorted(SQUARE_RULE_TOP))
+    def test_single_block_squares_match_explicit_squares(self, p):
+        # the alternating split of V_d (x) V_d against the explicit squares
+        wrong = []
+        for d in range(2, SQUARE_RULE_TOP[p] + 1):
+            t, J = JordanType({d: 1}), jordan_block(d, p)
+            cap = (d * (d + 1) // 2) ** 2
+            if ext2_type(t, p, max_entries=cap) != jordan_type_of(exterior_square(J)):
+                wrong.append(("ext2", d))
+            if sym2_type(t, p, max_entries=cap) != jordan_type_of(symmetric_square(J)):
+                wrong.append(("sym2", d))
+        assert wrong == []
+
+    def test_exterior_square_in_characteristic_two_needs_the_matrix(self):
+        # the alternating split of V_d (x) V_d would be wrong for every d here
+        assert ext2_type(JordanType({2: 1}), 2) == JordanType({1: 1})
+        for d in range(2, 25):
+            want = jordan_type_of(exterior_square(jordan_block(d, 2)))
+            assert ext2_type(JordanType({d: 1}), 2, max_entries=(d * d) ** 2) == want
+            pair = tensor_block_type(d, d, 2, max_entries=(d * d) ** 2)
+            parts = sorted((s for s, m in pair for _ in range(m)), reverse=True)
+            assert JordanType((s, 1) for s in parts[1::2]) != want, d
 
     def test_square_dimensions(self):
         t = JordanType({2: 2, 3: 1})
