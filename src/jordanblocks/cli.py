@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .oracle import ext2_type, sym2_type, tensor_dual_type
-from .partitions import JordanType, PrimeChar, parse_jordan_type, partitions_of
+from .partitions import JordanType, parse_jordan_type, partitions_of
 from .reports import build_report
 from .rules import GroupContext, validate_classical
 
@@ -105,8 +105,9 @@ def cmd_reproduce_table(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     kind = _GROUPS[args.group]
-    PrimeChar(args.p)  # also when --max-n leaves no dimension to sweep
     first, step = _SWEEP_DIMS[kind]
+    # refuses a bad p, and Sp/SO at p = 2, even when --max-n leaves no dimension
+    GroupContext(kind, first, args.p)
     for n in range(first, args.max_n + 1, step):
         ctx = GroupContext(kind, n, args.p)
         for t in partitions_of(n):

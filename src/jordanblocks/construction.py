@@ -6,8 +6,12 @@ the dual space carries the contragredient action. The functions here give
 closed forms for powers of X = u - 1 on basis vectors, build the alternating
 diagonal-sum vectors delta_beta, and realize the induced action on the
 kernel of the evaluation form (modulo the invariant line when p divides
-dim V) as an explicit matrix, either whole or one summand V_r tensor V_s^*
-at a time.
+dim V) as one explicit matrix, the tests' whole-module referee.
+
+The SL verify route builds no matrix: it reads the same module's Jordan
+type summand by summand, each piece V_r tensor V_s^* from a rank chain whose
+product is a shift-add and an alternating prefix sum on rows reshaped to
+(r, s), and the diagonal part from two invariants per block size.
 
 Index convention: a basis vector e_i or dual vector e_i^* with i outside
 1..n denotes the zero vector, so shifts that fall off a block vanish
@@ -22,10 +26,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .linalg import PrimeFieldMatrix, block_diagonal, dual_action, jordan_block, kronecker
-from .oracle import _checked, jordan_type_of
+from .oracle import _blocks_from_ranks, _checked, _echelon, _rank_chain, _working_dtype
 from .partitions import JordanType, PrimeChar, alpha_of, binom_mod_p
 
 __all__ = [
@@ -320,8 +323,10 @@ class LadderVerdict(NamedTuple):
     failed_beta: int | None
 
 
-def _tensor_x_sparse(t: JordanType, p: int) -> sparse.csr_matrix:
+def _tensor_x_sparse(t: JordanType, p: int) -> scipy.sparse.csr_matrix:
     """X = (u tensor dual u) - 1 on V tensor V*, as a sparse mod-p matrix."""
+    import scipy.sparse as sparse
+
     u = block_diagonal([jordan_block(d, p) for d in _block_sizes(t)])
     left = sparse.csr_matrix(u.array)
     right = sparse.csr_matrix(dual_action(u).array)
@@ -365,31 +370,6 @@ def verify_delta_ladder(t: JordanType, p: int) -> LadderVerdict:
     return LadderVerdict(True, None)
 
 
-def _trace_kernel_quotient(
-    u0: np.ndarray, phi: np.ndarray, n: int, p: int
-) -> PrimeFieldMatrix:
-    """u0 restricted to the kernel of the form phi, mod the identity if p | n.
-
-    u0 acts on a space holding the identity of End(V), dim V = n, whose
-    coordinates are phi itself; phi[0] = 1 and u0 preserves phi. The form's
-    only pivot is its first coordinate, so the kernel basis is
-    e_a - phi_a e_0 for a >= 1 and coordinates in it are plain coordinate
-    reads. In that basis the identity has coordinates gamma = phi[1:]; when
-    p | n it lies in the kernel and the quotient drops the coordinate of
-    gamma's first nonzero.
-    """
-    # Row a of W is the image of the kernel basis vector e_a - phi_a e_0.
-    w = (u0[1:] - np.outer(phi[1:], u0[0])) % p
-    coords = w[:, 1:]
-    if n % p:
-        return PrimeFieldMatrix(coords, p)
-    gamma = phi[1:]
-    lead = int(np.flatnonzero(gamma)[0])
-    reduced = (coords - np.outer(coords[:, lead], gamma)) % p
-    keep = np.arange(gamma.size) != lead
-    return PrimeFieldMatrix(reduced[np.ix_(keep, keep)], p)
-
-
 def _require_adjoint_input(t: JordanType, p: int) -> int:
     if not t:
         raise ValueError("empty Jordan type")
@@ -407,43 +387,131 @@ def build_adjoint_action(t: JordanType, p: int) -> PrimeFieldMatrix:
     evaluation form (a hyperplane, since the form is fixed by the action),
     and, when p divides n = dim V, further quotients by the invariant line
     spanned by the diagonal sum. The result is unipotent of size n^2 - 1
-    when p does not divide n, and n^2 - 2 when it does.
+    when p does not divide n, and n^2 - 2 when it does. This whole-module
+    matrix is the tests' referee for the summand-by-summand route that
+    `--verify` takes.
 
-    The kernel and quotient step is `_trace_kernel_quotient`, shared with
-    the summand-by-summand route: the form's first coordinate is its pivot,
-    and the quotient drops the coordinate of the diagonal sum's first nonzero
-    in the kernel basis. Here that is e_2 tensor e_2^*, kernel index n.
+    The form's coordinates phi are those of the identity, and its only pivot
+    is its first coordinate, so the kernel basis is e_a - phi_a e_0 for
+    a >= 1 and coordinates in it are plain coordinate reads. In that basis
+    the identity has coordinates phi[1:]; when p | n it lies in the kernel
+    and the quotient drops the coordinate of its first nonzero,
+    e_2 tensor e_2^*, kernel index n.
     """
     n = _require_adjoint_input(t, p)
     u = block_diagonal([jordan_block(d, p) for d in _block_sizes(t)])
     u0 = kronecker(u, dual_action(u)).array
     phi = np.zeros(n * n, dtype=np.int64)
     phi[:: n + 1] = 1
-    return _trace_kernel_quotient(u0, phi, n, p)
+    # Row a of w is the image of the kernel basis vector e_a - phi_a e_0.
+    w = (u0[1:] - np.outer(phi[1:], u0[0])) % p
+    coords = w[:, 1:]
+    if n % p:
+        return PrimeFieldMatrix(coords, p)
+    gamma = phi[1:]
+    reduced = (coords - np.outer(coords[:, n], gamma)) % p
+    keep = np.arange(gamma.size) != n
+    return PrimeFieldMatrix(reduced[np.ix_(keep, keep)], p)
+
+
+def _times_x(rows: np.ndarray, r: int, s: int, p: int) -> np.ndarray:
+    """rows times X = (J_r tensor J_s^-T) - 1 on V_r tensor V_s^*, mod p.
+
+    A row of r*s coefficients, reshaped to (r, s), is multiplied by J_r along
+    r, a shift-add (e_i -> e_i + e_(i-1)), and by the contragredient
+    J_s^-T along s, an alternating prefix sum; the identity is subtracted.
+    The sums run in int64, where they stay below 2ps in absolute value; the
+    result comes back reduced, in the dtype of rows.
+    """
+    a = rows.reshape(-1, r, s).astype(np.int64)
+    sign = 1 - 2 * (np.arange(s) & 1)
+    b = a.copy()
+    b[:, :-1] += a[:, 1:]
+    b *= sign
+    np.cumsum(b, axis=2, out=b)
+    b *= sign
+    b -= a
+    np.mod(b, p, out=b)
+    return b.reshape(rows.shape).astype(rows.dtype)
 
 
 @lru_cache(maxsize=None)
 def _piece_type(r: int, s: int, p: int) -> JordanType:
-    """Jordan type of u on V_r tensor V_s^*, r <= s, by elimination."""
-    return jordan_type_of(kronecker(jordan_block(r, p), dual_action(jordan_block(s, p))))
+    """Jordan type of u on V_r tensor V_s^*, r <= s, by a shift-product rank chain."""
+    ranks = _rank_chain(
+        lambda rows: _times_x(rows, r, s, p), r * s, p, _working_dtype(p, 2)
+    )
+    return _checked(_blocks_from_ranks(ranks), r * s)
 
 
 @lru_cache(maxsize=None)
-def _diagonal_block(d: int, p: int) -> PrimeFieldMatrix:
-    j = jordan_block(d, p)
-    return kronecker(j, dual_action(j))
+def _diagonal_invariants(d: int, p: int) -> tuple[int, int]:
+    """(h, c) for End(V_d) = V_d tensor V_d^*, with eps the trace:
+    h = max{k : I in im X^k}, and c = eps(w) for any w with w X^h = I.
+
+    Each row is (w X^k, eps(w), 0) for some w in End(V_d), and one probe row
+    (I, 0, 1) is echelonized with them. While I is in im X^k, eps kills
+    ker X^k (the trace pairing is u-invariant), so exactly one output row
+    has a zero image part: a multiple of (0, eps(w), -1) with w X^k = I.
+    Once I leaves im X^k, that row is (0, a, 0), a vector of ker X^k that
+    eps does not kill. The next power zeroes the last column and multiplies
+    the image part by X; the probe adds nothing there, since I X = 0. Each
+    matrix has d^2 + 1 rows and d^2 + 2 columns.
+    """
+    n = d * d
+    dtype = _working_dtype(p, 2)
+    ident = np.eye(d, dtype=dtype).ravel()
+    rows = np.zeros((n, n + 2), dtype=dtype)
+    rows[:, :n] = np.eye(n, dtype=dtype)
+    rows[:, n] = ident
+    probe = np.zeros((1, n + 2), dtype=dtype)
+    probe[0, :n] = ident
+    probe[0, n + 1] = 1
+    h, c = -1, 0
+    while True:
+        basis, _ = _echelon(np.vstack([rows, probe]), p)
+        off_image = basis[~basis[:, :n].any(axis=1), n:]
+        if off_image.shape[0] != 1:
+            raise AssertionError(
+                f"power {h + 1}: {off_image.shape[0]} rows with zero image part, expected 1"
+            )
+        eps, m = (int(v) for v in off_image[0])
+        if m == 0:
+            return h, c
+        h, c = h + 1, -eps * pow(m, -1, p) % p
+        rows = np.zeros_like(basis)
+        rows[:, :n] = _times_x(basis[:, :n], d, d, p)
+        rows[:, n] = basis[:, n]
 
 
 def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
-    """Jordan type of u on the adjoint module, summand by summand.
+    """Jordan type of u on the adjoint module, summand by summand, with no
+    matrix larger than (max d)^2 square.
 
-    With V the sum of blocks V_r, V tensor V* is the sum of the u-invariant
-    pieces V_r tensor V_s^*. The evaluation form vanishes on every piece with
-    r != s and the identity lies in D, the sum of the r = s pieces, so the
-    adjoint module is the sum of the r != s pieces plus (ker of the form on
-    D) / <identity>. Each r != s piece is read off an r*s-square matrix; only
-    D, of dimension the sum of d_r^2, goes through `_trace_kernel_quotient`.
-    No rule and no tensor-pair engine is used.
+    With V the sum of blocks V_a, V tensor V* is the sum of the u-invariant
+    pieces V_a tensor V_b^*. The evaluation form eps vanishes on every piece
+    with a != b and the identity I lies in D, the sum of the a = b pieces,
+    so the adjoint module is the sum of the a != b pieces plus
+    (ker eps on D) / <I>, the quotient taken when p | n. Each piece's type
+    is read off its own shift-product rank chain, memoized by its sizes.
+
+    D is never built. Let R_k = sum over sizes d of m_d rank(X^k on
+    V_d tensor V_d^*), from the (d, d) pieces. eps kills im X, so X^k has
+    rank R_k - 1 + f_k on ker eps, with f_k = 1 when eps is nonzero on
+    ker X^k. The trace pairing is u-invariant, so that happens exactly when
+    some I_d is outside im X^k: f_k = [k > h], h = min h_d, with h_d and c_d
+    from `_diagonal_invariants`. When p | n, I lies in X^k (ker eps) when
+    k <= h and eps(w) = 0 for the w with w X^k = I; eps kills im X, so only
+    the sizes with h_d = k contribute, m_d c_d each. Hence
+
+        rank = R_k - [k <= h] (1 + [p | n] [sum_{h_d = k} m_d c_d = 0 mod p]).
+
+    This is a second derivation, not a copy of a rule: h_d and c_d are
+    counted by elimination, and no rule, no tensor-pair engine and no
+    recursion is used. It follows the module theory of the paper's proof,
+    where the delta_beta vectors certify I in im X^(p^beta - 1); the tests
+    hold (h_d, c_d) to (p^nu - 1, d / p^nu mod p), nu = nu_p(d), and the
+    whole route to `build_adjoint_action`.
     """
     n = _require_adjoint_input(t, p)
     p = int(p)
@@ -456,8 +524,15 @@ def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
                 # u^-T has the Jordan type of u, so one memo serves both orders.
                 piece = _piece_type(min(d1, d2), max(d1, d2), p)
                 out = out + JordanType({size: m * copies for size, m in piece})
-    sizes = _block_sizes(t)
-    u0 = block_diagonal([_diagonal_block(d, p) for d in sizes]).array
-    phi = np.concatenate([np.eye(d, dtype=np.int64).ravel() for d in sizes])
-    out = out + jordan_type_of(_trace_kernel_quotient(u0, phi, n, p))
+    # blocks of V_d tensor V_d^* are shorter than 2d, so ranks ends in 0
+    ranks = [0] * (2 * max(d for d, _ in t))
+    for d, m in t:
+        for size, mult in _piece_type(d, d, p):
+            for k in range(size):
+                ranks[k] += m * mult * (size - k)
+    invariants = {d: _diagonal_invariants(d, p) for d, _ in t}
+    for k in range(min(h for h, _ in invariants.values()) + 1):
+        top = sum(m * invariants[d][1] for d, m in t if invariants[d][0] == k)
+        ranks[k] -= 1 + (n % p == 0 and top % p == 0)
+    out = out + _blocks_from_ranks(ranks)
     return _checked(out, n * n - 1 - (n % p == 0))

@@ -21,7 +21,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .linalg import PrimeFieldMatrix, exterior_square, jordan_block
 from .partitions import JordanType, PrimeChar
@@ -178,8 +177,12 @@ def jordan_type_of(M: PrimeFieldMatrix) -> JordanType:
     """Jordan type of a unipotent matrix from kernel dimensions of powers.
 
     r_m = 2 dim Ker X^m - dim Ker X^{m+1} - dim Ker X^{m-1} with X = M - 1;
-    non-unipotent input is detected and rejected.
+    non-unipotent input is detected and rejected. scipy is imported here,
+    not with the package: only the exterior square at p = 2 and the tests
+    take this path.
     """
+    import scipy.sparse as sparse
+
     if not M.is_square():
         raise ValueError("jordan_type_of needs a square matrix")
     n = M.rows

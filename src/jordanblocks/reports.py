@@ -65,15 +65,15 @@ class DecompositionReport:
 def _verify(report: DecompositionReport, max_entries: int) -> bool:
     """Recompute the irreducible type by an independent route.
 
-    SL: build u on the adjoint module summand by summand and read off
-    Jordan types by elimination, with no rule and no tensor-pair engine.
-    Each piece V_r tensor V_s^* of two different blocks is u-invariant and
-    killed by the evaluation form, so it is its own (r*s)-square matrix,
-    memoized by its sizes; only the diagonal part, of dimension the sum of
-    d_r^2, is restricted to the form's kernel and taken mod the identity
-    when p | n. Sp/SO: check the complementary-square identity, i.e. that
-    the irreducible type plus the other square equals the SL result on
-    V tensor V*.
+    SL: `construction._split_adjoint_type` reads the adjoint module's type
+    summand by summand by elimination, with no rule, no tensor-pair engine
+    and no matrix of more than (max d)^2 rows: each piece V_r tensor V_s^*
+    from its own memoized rank chain, and the diagonal part, restricted to
+    the evaluation form's kernel and taken mod the identity when p | n, from
+    the (d, d) pieces and two invariants per block size d. Those invariants
+    are a second derivation by elimination, not a copy of a rule. Sp/SO:
+    check the complementary-square identity, i.e. that the irreducible type
+    plus the other square equals the SL result on V tensor V*.
     """
     ctx = report.context
     t = report.input_type

@@ -1,6 +1,9 @@
 """Tests for the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +111,12 @@ class TestDecompose:
         assert err.startswith("error:")
         assert p in err
 
+    def test_exterior_square_at_characteristic_two(self, capsys):
+        # the one carrier still read off an explicit matrix, with scipy
+        code, out, _ = run(capsys, "decompose", "--p", "2", "--type", "5", "--rep", "ext2")
+        assert code == 0
+        assert out == "3, 7\n"
+
     def test_classical_type_constraint_is_enforced(self, capsys):
         # a symplectic form forces odd sizes to pair up
         code, _, err = run(capsys, "decompose", "--p", "3", "--type", "3, 1", "--group", "sp")
@@ -154,6 +163,15 @@ class TestSweep:
         assert code == 3
         assert out == ""
         assert "prime" in err
+
+    @pytest.mark.parametrize("group, max_n", [("sp", 3), ("so", 4), ("so", 5)])
+    def test_classical_group_at_characteristic_two_is_refused(self, capsys, group, max_n):
+        # also when --max-n stops below the group's first dimension
+        code, out, err = run(capsys, "sweep", "--p", "2", "--max-n", str(max_n), "--group", group)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+        assert "p = 2 is unsupported" in err
 
     @pytest.mark.parametrize("group", ["sp", "so"])
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -207,6 +225,25 @@ class TestReproduceTable:
         assert code == 3
         assert out == ""
         assert err.startswith("error: cannot read fixture")
+
+
+class TestImportCost:
+    def test_scipy_is_not_loaded_off_the_p2_exterior_square(self):
+        # a fresh interpreter, so that no other test's import counts
+        code = """
+import sys
+import jordanblocks, jordanblocks.cli
+from jordanblocks import GroupContext, JordanType, build_report
+for kind, blocks in (("SL", {1: 1, 2: 1, 3: 1}), ("Sp", {1: 2, 3: 2}), ("SO", {1: 1, 3: 2})):
+    t = JordanType(blocks)
+    assert build_report(t, GroupContext(kind, t.dim, 3), verify=True).verified
+print("scipy" in sys.modules)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestArgumentHandling:

@@ -19,6 +19,9 @@ from jordanblocks import (
     dual_action,
     jordan_block,
     jordan_type_of,
+    kronecker,
+    nu_p,
+    partitions_of,
     trace_form,
     verify_delta_ladder,
     x_power_on_basis,
@@ -301,18 +304,55 @@ class TestBuildAdjointAction:
             assert jordan_type_of(build_adjoint_action(t, p)).dim == t.dim**2 - drop
 
 
+def verify_peak(t: JordanType, p: int) -> tuple[bool, int]:
+    """build_report(verify=True) from cold caches: (verified, tracemalloc peak)."""
+    for memo in (construction._piece_type, construction._diagonal_invariants, oracle._tensor_block_type):
+        memo.cache_clear()
+    tracemalloc.start()
+    try:
+        report = build_report(t, GroupContext("SL", t.dim, p), verify=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return report.verified, peak
+
+
 class TestVerifyMemory:
     @pytest.mark.parametrize("blocks", [{1: 200}, {2: 10, 3: 20}], ids=["1^200", "2^10,3^20"])
     def test_many_small_blocks_stay_small(self, blocks):
-        # only the sum-of-d_r^2-square diagonal part is built, never n^2-square
-        t = JordanType(blocks)
-        for memo in (construction._piece_type, construction._diagonal_block, oracle._tensor_block_type):
-            memo.cache_clear()
-        tracemalloc.start()
-        try:
-            report = build_report(t, GroupContext("SL", t.dim, 2), verify=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.verified is True
+        # only pieces of at most (max d)^2 rows are built, never n^2-square
+        verified, peak = verify_peak(JordanType(blocks), 2)
+        assert verified is True
         assert peak < 8_000_000
+
+    @pytest.mark.parametrize("blocks", [{14: 10}, {7: 4, 14: 6}], ids=["14^10", "7^4,14^6"])
+    def test_the_diagonal_part_is_never_built(self, blocks):
+        # the diagonal part is 1960-square for 14^10 and 1372-square for
+        # 7^4, 14^6; its ranks come from the (d, d) pieces and per-size invariants
+        verified, peak = verify_peak(JordanType(blocks), 7)
+        assert verified is True
+        assert peak < 8_000_000
+
+
+class TestSplitRoute:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_pieces_match_the_explicit_tensor_product(self, p):
+        for s in range(1, 13):
+            dual = dual_action(jordan_block(s, p))
+            for r in range(1, s + 1):
+                want = jordan_type_of(kronecker(jordan_block(r, p), dual))
+                assert construction._piece_type(r, s, p) == want, (r, s)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_diagonal_invariants_follow_the_delta_ladder(self, p):
+        # delta_nu certifies I in im X^(p^nu - 1), and its trace is d / p^nu
+        for d in range(1, 25):
+            q = p ** nu_p(d, p)
+            assert construction._diagonal_invariants(d, p) == (q - 1, d // q % p), d
+
+    def test_wide_dtype_prime_agrees_with_the_whole_module(self):
+        p = 1_000_003
+        for n in range(2, 7):
+            for t in partitions_of(n):
+                want = jordan_type_of(build_adjoint_action(t, p))
+                assert construction._split_adjoint_type(t, p) == want, t.render()
