@@ -6,29 +6,7 @@ irreducible factor of the adjoint-type highest weight, starting from the
 Jordan type of its action on V.
 """
 
-from .construction import (
-    DeltaLadder,
-    LadderVerdict,
-    TensorVector,
-    build_adjoint_action,
-    delta,
-    delta_ladder,
-    trace_form,
-    verify_delta_ladder,
-    x_power_on_basis,
-    x_power_on_dual,
-    x_power_on_tensor,
-)
-from .linalg import (
-    PrimeFieldMatrix,
-    block_diagonal,
-    dual_action,
-    exterior_square,
-    jordan_block,
-    kernel_dim,
-    kronecker,
-    symmetric_square,
-)
+from .construction import build_adjoint_action
 from .oracle import (
     DEFAULT_MAX_ENTRIES,
     OracleCapError,
@@ -38,74 +16,28 @@ from .oracle import (
     tensor_block_type,
     tensor_dual_type,
 )
-from .partitions import (
-    JordanType,
-    PrimeChar,
-    alpha_of,
-    binom_mod_p,
-    nu_p,
-    parse_jordan_type,
-    partitions_of,
-)
-from .recursions import clebsch_gordan, free_rule, gpx_scale, reflect_rule
+from .partitions import JordanType, parse_jordan_type, partitions_of
+from .recursions import clebsch_gordan, free_rule
 from .reports import DecompositionReport, build_report
-from .rules import (
-    GroupContext,
-    Verdict,
-    adjoint_rule,
-    restrict_codim1,
-    rule_case,
-    so_2w1_rule,
-    sp_w2_rule,
-    validate_classical,
-)
+from .rules import GroupContext, adjoint_rule, validate_classical
 
 __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "DecompositionReport",
-    "DeltaLadder",
     "GroupContext",
     "JordanType",
-    "LadderVerdict",
     "OracleCapError",
-    "PrimeChar",
-    "PrimeFieldMatrix",
-    "TensorVector",
-    "Verdict",
     "adjoint_rule",
-    "alpha_of",
-    "binom_mod_p",
-    "block_diagonal",
     "build_adjoint_action",
     "build_report",
     "clebsch_gordan",
-    "delta",
-    "delta_ladder",
-    "dual_action",
     "ext2_type",
-    "exterior_square",
     "free_rule",
-    "gpx_scale",
-    "jordan_block",
     "jordan_type_of",
-    "kernel_dim",
-    "kronecker",
-    "nu_p",
     "parse_jordan_type",
     "partitions_of",
-    "reflect_rule",
-    "restrict_codim1",
-    "rule_case",
-    "so_2w1_rule",
-    "sp_w2_rule",
     "sym2_type",
-    "symmetric_square",
     "tensor_block_type",
     "tensor_dual_type",
-    "trace_form",
     "validate_classical",
-    "verify_delta_ladder",
-    "x_power_on_basis",
-    "x_power_on_dual",
-    "x_power_on_tensor",
 ]

@@ -13,7 +13,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .oracle import ext2_type, sym2_type, tensor_dual_type
+from .oracle import _working_dtype, ext2_type, sym2_type, tensor_dual_type
 from .partitions import JordanType, parse_jordan_type, partitions_of
 from .reports import build_report
 from .rules import GroupContext, validate_classical
@@ -47,16 +47,17 @@ def _load_fixture(path: str | None) -> list[FixtureRow]:
         fields = line.split(";")
         if len(fields) != 5:
             raise ValueError(f"fixture line {lineno} has {len(fields)} fields, need 5")
-        n, p = int(fields[0]), int(fields[1])
-        rows.append(
-            (
-                n,
-                p,
-                parse_jordan_type(fields[2]),
-                parse_jordan_type(fields[3]),
-                parse_jordan_type(fields[4]),
-            )
-        )
+        # every row is checked before any runs, so a bad row names its line
+        try:
+            n, p = int(fields[0]), int(fields[1])
+            GroupContext("SL", n, p)
+            _working_dtype(p, 2)  # a prime past int64 would be refused mid-run
+            t, tensor, irr = (parse_jordan_type(f) for f in fields[2:])
+            if t.dim != n:
+                raise ValueError(f"type has dimension {t.dim}, row says n = {n}")
+        except ValueError as exc:
+            raise ValueError(f"fixture line {lineno}: {exc}") from exc
+        rows.append((n, p, t, tensor, irr))
     if not rows:
         raise ValueError("fixture contains no data rows")
     return rows

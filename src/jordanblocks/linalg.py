@@ -1,13 +1,16 @@
-"""Exact dense linear algebra over GF(p).
+"""Exact dense linear algebra over GF(p): the explicit matrices.
 
 Entries are numpy int64 reduced into [0, p) after every operation; no floating
 point anywhere. Matrices act on coordinate row vectors from the right, so row
-i of a matrix holds the image of the i-th basis vector.
+i of a matrix holds the image of the i-th basis vector. Jordan blocks, direct
+sums, the dual action, Kronecker products and the two squares build the
+explicit modules; `rref` inverts for the dual action and is the tests'
+independent check on the oracle's elimination.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +37,6 @@ class PrimeFieldMatrix:
         self.array = arr
         self.p = int(p)
 
-    @classmethod
-    def identity(cls, n: int, p: int) -> "PrimeFieldMatrix":
-        return cls(np.eye(n, dtype=np.int64), p)
-
     @property
     def rows(self) -> int:
         return self.array.shape[0]
@@ -58,29 +57,6 @@ class PrimeFieldMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.array.shape} @ {other.array.shape}")
         return PrimeFieldMatrix(self.array @ other.array, self.p)
-
-    def __add__(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
-        self._require_same_field(other)
-        return PrimeFieldMatrix(self.array + other.array, self.p)
-
-    def __sub__(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
-        self._require_same_field(other)
-        return PrimeFieldMatrix(self.array - other.array, self.p)
-
-    def pow(self, k: int) -> "PrimeFieldMatrix":
-        """Matrix power by repeated squaring, k >= 0."""
-        if not self.is_square():
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        result = np.eye(self.rows, dtype=np.int64)
-        base = self.array
-        while k:
-            if k & 1:
-                result = result @ base % self.p
-            base = base @ base % self.p
-            k >>= 1
-        return PrimeFieldMatrix(result, self.p)
 
     def transpose(self) -> "PrimeFieldMatrix":
         return PrimeFieldMatrix(self.array.T, self.p)
@@ -158,35 +134,6 @@ def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         piv.append(c)
         r += 1
     return R[: len(piv)], piv
-
-
-def rank(M: PrimeFieldMatrix) -> int:
-    _, piv = rref(M.array, M.p)
-    return len(piv)
-
-
-def kernel_dim(M: PrimeFieldMatrix) -> int:
-    """dim of the kernel of a square M: n - rank, rank by exact elimination."""
-    if not M.is_square():
-        raise ValueError("kernel_dim needs a square matrix")
-    return M.rows - rank(M)
-
-
-def nullspace_rows(arr: np.ndarray, p: int) -> np.ndarray:
-    """Rows spanning {x : arr @ x = 0} over GF(p), derived from the RREF.
-
-    One basis row per free column, deterministic.
-    """
-    arr = np.asarray(arr, dtype=np.int64)
-    R, piv = rref(arr, p)
-    cols = arr.shape[1]
-    free = [c for c in range(cols) if c not in set(piv)]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for r, pc in enumerate(piv):
-            basis[k, pc] = (-R[r, c]) % p
-    return basis
 
 
 def inverse(M: PrimeFieldMatrix) -> PrimeFieldMatrix:

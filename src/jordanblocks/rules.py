@@ -21,7 +21,6 @@ __all__ = [
     "GroupContext",
     "Verdict",
     "adjoint_rule",
-    "restrict_codim1",
     "rule_case",
     "so_2w1_rule",
     "sp_w2_rule",
@@ -194,19 +193,3 @@ def so_2w1_rule(carrier: JordanType, t: JordanType, ctx: GroupContext) -> Jordan
         raise ValueError(f"invalid orthogonal type: {verdict.reason}")
     return _rule(carrier, t, ctx.p)
 
-
-def restrict_codim1(t: JordanType, m: int) -> JordanType:
-    """Type of the action on a hyperplane pinned between two kernel powers.
-
-    For a hyperplane containing the kernel of X^m but not that of X^(m+1),
-    one block of size m + 1 shrinks to size m (disappearing when m = 0);
-    all other blocks survive unchanged. Requires a block of size exactly
-    m + 1 to shrink.
-    """
-    if m < 0:
-        raise ValueError(f"kernel level must be non-negative, got {m}")
-    blocks = t.blocks
-    _adjust(blocks, m + 1, -1)
-    if m >= 1:
-        _adjust(blocks, m, +1)
-    return JordanType(blocks)

@@ -1,17 +1,24 @@
 """Shared helpers for the test suite.
 
-Provides a seeded random partition generator, a dense matrix for the
-shifted tensor action, the ungraded rank chain for J_m (x) J_n that the
-graded oracle is tested against, and the closed form for stepping a basis
-tensor down one rung of the ladder in V_n (x) V_n*.
+Provides a seeded random partition generator, mod-p matrix powers, a dense
+matrix for the shifted tensor action, the ungraded rank chain for
+J_m (x) J_n that the graded oracle is tested against, and the paper's proof
+model: closed forms for powers of X = u - 1 on dual and tensor vectors, the
+delta_beta vectors, and the check that X walks them down the ladder.
+
+Positions inside a block are 1-based; an index outside 1..n denotes the
+zero vector, so the closed forms return an empty mapping for it.
 """
 
+import math
 import random
 
 import numpy as np
+import scipy.sparse as sparse
 
-from jordanblocks import JordanType, block_diagonal, dual_action, jordan_block, kronecker
-from jordanblocks import oracle
+from jordanblocks import JordanType, oracle
+from jordanblocks.linalg import block_diagonal, dual_action, jordan_block, kronecker
+from jordanblocks.partitions import alpha_of
 
 
 def random_type(rng: random.Random, max_dim: int, *, divisible_by: int = 1) -> JordanType:
@@ -34,11 +41,23 @@ def random_type(rng: random.Random, max_dim: int, *, divisible_by: int = 1) -> J
     return JordanType(blocks)
 
 
+def matrix_power(X: np.ndarray, k: int, p: int) -> np.ndarray:
+    out = np.eye(X.shape[0], dtype=np.int64)
+    for _ in range(k):
+        out = (out @ X) % p
+    return out
+
+
+def as_pairs(row: np.ndarray, s: int) -> dict[tuple[int, int], int]:
+    """A flat row of V_r (x) V_s* as {(i, j): coefficient}, 1-based, zeros dropped."""
+    return {(f // s + 1, f % s + 1): int(c) for f, c in enumerate(row) if c}
+
+
 def tensor_x_matrix(t: JordanType, p: int) -> np.ndarray:
     """Dense nilpotent action on V (x) V* for the unipotent of type t.
 
-    Row a*n + b holds the image of e_a (x) e_b*, matching the flat
-    ordering used by TensorVector.flatten().
+    Row a*n + b holds the image of e_a (x) e_b*, 0-based global positions,
+    the first-factor-major order of a Kronecker product.
     """
     u = block_diagonal([jordan_block(size, p) for size, mult in t for _ in range(mult)])
     full = kronecker(u, dual_action(u)).array
@@ -93,3 +112,82 @@ def step_formula(i: int, j: int, n: int, beta: int, p: int) -> dict[tuple[int, i
                     out[key] = (out.get(key, 0) + sign) % p
             q += 1
     return {key: c for key, c in out.items() if c}
+
+
+def dual_shift(k: int, i: int, n: int, p: int) -> dict[int, int]:
+    """X^k e_i^* in V_n*, as {j: coefficient mod p}; X^0 is the identity.
+
+    The dual shift spreads upward with alternating signs:
+    X^k e_i^* = sum over i+k <= j <= n of (-1)^(i+j) C(j-i-1, k-1) e_j^*.
+    """
+    if not 1 <= i <= n:
+        return {}
+    if k == 0:
+        return {i: 1}
+    coeffs = {j: math.comb(j - i - 1, k - 1) * (-1) ** (i + j) % p for j in range(i + k, n + 1)}
+    return {j: c for j, c in coeffs.items() if c}
+
+
+def tensor_shift(k: int, i: int, j: int, r: int, s: int, p: int) -> dict[tuple[int, int], int]:
+    """X^k (e_i (x) e_j^*) in V_r (x) V_s*, as {(a, b): coefficient mod p}.
+
+    With X_1 the shift on V_r (X_1 e_i = e_(i-1)) and X_2 the dual shift,
+    X = X_1 (1 + X_2) + X_2, so X^k = sum_a C(k, a) X_1^a (1 + X_2)^a X_2^(k-a):
+    the X_2^b term carries C(k, a) C(a, b - k + a) for k - a <= b <= k.
+    """
+    if k < 1:
+        raise ValueError(f"power must be positive, got {k}")
+    out: dict[tuple[int, int], int] = {}
+    for a in range(min(k, i - 1) + 1):
+        for b in range(k - a, k + 1):
+            c = math.comb(k, a) * math.comb(a, b - k + a)
+            for jj, cc in dual_shift(b, j, s, p).items():
+                out[i - a, jj] = (out.get((i - a, jj), 0) + c * cc) % p
+    return {key: c for key, c in out.items() if c}
+
+
+def delta(beta: int, d: int, p: int) -> np.ndarray:
+    """delta_beta on one block, as a flat vector of V_d (x) V_d*, mod p.
+
+    With q = p^beta, each segment of q consecutive positions contributes
+    sum over 1 <= i <= q of (-1)^(i+1) e_(jq+i) (x) e_(jq+1)^*; delta_0 is
+    the identity. On V = sum of blocks, delta_beta is the sum of these
+    pieces on the diagonal summands V_d (x) V_d*.
+    """
+    if beta < 0 or d % p**beta:
+        raise ValueError(f"p^{beta} does not divide block size {d}")
+    pos = np.arange(d)
+    offset = pos % p**beta
+    out = np.zeros((d, d), dtype=np.int64)
+    out[pos, pos - offset] = np.where(offset % 2, p - 1, 1)
+    return out.ravel()
+
+
+def block_x(d: int, p: int) -> sparse.csr_matrix:
+    """X = (J_d (x) J_d^-T) - 1 on V_d (x) V_d*, sparse, entries in [0, p)."""
+    u = jordan_block(d, p)
+    x = sparse.kron(u.array, dual_action(u).array, format="csr")
+    x = (x - sparse.identity(d * d, dtype=np.int64, format="csr")).tocsr()
+    x.data %= p
+    x.eliminate_zeros()
+    return x
+
+
+def ladder_failure(t: JordanType, p: int) -> int | None:
+    """Smallest level beta at which X fails to walk delta_beta down, or None.
+
+    For 1 <= beta <= alpha_p(t), X^((p-1) p^(beta-1)) must take delta_beta
+    to delta_(beta-1), and X^(p^beta - 1) must take it to delta_0. X keeps
+    every V_r (x) V_s* and delta_beta lives on the diagonal pieces, so the
+    ladder is checked block size by block size, one sparse X per size.
+    """
+    xs = {d: block_x(d, p) for d, _ in t}
+    for beta in range(1, alpha_of(t, p) + 1):
+        for d, x in xs.items():
+            for power, lower in (((p - 1) * p ** (beta - 1), beta - 1), (p**beta - 1, 0)):
+                v = delta(beta, d, p)
+                for _ in range(power):
+                    v = v @ x % p
+                if not np.array_equal(v, delta(lower, d, p)):
+                    return beta
+    return None

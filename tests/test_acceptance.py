@@ -17,37 +17,31 @@ from jordanblocks import (
     GroupContext,
     JordanType,
     adjoint_rule,
-    alpha_of,
-    binom_mod_p,
     build_adjoint_action,
-    dual_action,
     ext2_type,
-    gpx_scale,
-    jordan_block,
     jordan_type_of,
-    nu_p,
     partitions_of,
-    reflect_rule,
-    so_2w1_rule,
-    sp_w2_rule,
     sym2_type,
     tensor_block_type,
     tensor_dual_type,
     validate_classical,
-    verify_delta_ladder,
-    x_power_on_dual,
-    x_power_on_tensor,
 )
 from jordanblocks import construction
 from jordanblocks.cli import _load_fixture
-from helpers import random_type, step_formula, tensor_x_matrix
-
-
-def matrix_power(X: np.ndarray, k: int, p: int) -> np.ndarray:
-    out = np.eye(X.shape[0], dtype=np.int64)
-    for _ in range(k):
-        out = (out @ X) % p
-    return out
+from jordanblocks.linalg import dual_action, jordan_block
+from jordanblocks.partitions import alpha_of, binom_mod_p, nu_p
+from jordanblocks.recursions import gpx_scale, reflect_rule
+from jordanblocks.rules import so_2w1_rule, sp_w2_rule
+from helpers import (
+    as_pairs,
+    dual_shift,
+    ladder_failure,
+    matrix_power,
+    random_type,
+    step_formula,
+    tensor_shift,
+    tensor_x_matrix,
+)
 
 
 def report(line: str, start: float) -> None:
@@ -146,14 +140,14 @@ def test_criterion_6_delta_ladders_hold():
         for n in sorted({p, 2 * p, p**2, 2 * p**2, p**3}):
             if n > 125:
                 continue
-            assert verify_delta_ladder(JordanType({n: 1}), p).ok, (n, p)
+            assert ladder_failure(JordanType({n: 1}), p) is None, (n, p)
             checked += 1
     rng = random.Random(8675309)
     for p in (2, 3, 5):
         for _ in range(50):
             t = random_type(rng, 24, divisible_by=p)
             assert alpha_of(t, p) >= 1
-            assert verify_delta_ladder(t, p).ok, (t.render(), p)
+            assert ladder_failure(t, p) is None, (t.render(), p)
             checked += 1
     report(f"criterion 6: delta ladder verified on {checked} types", start)
 
@@ -169,7 +163,7 @@ def test_criterion_7_closed_forms_match_matrix_powers():
                 P = (P @ X) % p
                 for i in range(1, n + 1):
                     expected = {j + 1: int(c) for j, c in enumerate(P[i - 1]) if c}
-                    assert x_power_on_dual(k, i, n, p) == expected, (k, i, n, p)
+                    assert dual_shift(k, i, n, p) == expected, (k, i, n, p)
     for p in (2, 3, 5):
         for n in range(1, 10):
             t = JordanType({n: 1})
@@ -179,8 +173,8 @@ def test_criterion_7_closed_forms_match_matrix_powers():
                 P = (P @ X) % p
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
-                        got = x_power_on_tensor(k, {(0, i): 1}, {(0, j): 1}, t, p)
-                        assert np.array_equal(got.flatten(), P[(i - 1) * n + (j - 1)]), (k, i, j, n, p)
+                        got = tensor_shift(k, i, j, n, n, p)
+                        assert got == as_pairs(P[(i - 1) * n + (j - 1)], n), (k, i, j, n, p)
     for p, sizes in ((2, (4, 8)), (3, (9, 18))):
         for n in sizes:
             X = tensor_x_matrix(JordanType({n: 1}), p)
@@ -188,8 +182,7 @@ def test_criterion_7_closed_forms_match_matrix_powers():
                 P = matrix_power(X, (p - 1) * p ** (beta - 1), p)
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
-                        row = P[(i - 1) * n + (j - 1)]
-                        want = {(f // n + 1, f % n + 1): int(c) for f, c in enumerate(row) if c}
+                        want = as_pairs(P[(i - 1) * n + (j - 1)], n)
                         assert step_formula(i, j, n, beta, p) == want, (i, j, n, beta, p)
     report("criterion 7: shift power closed forms match matrices everywhere tested", start)
 

@@ -214,6 +214,28 @@ class TestReproduceTable:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2;x;2;1, 3;3", "invalid literal for int()"),
+            ("3;4;3;1, 4^2;4^2", "characteristic must be prime, got 4"),
+            ("3;2;2;1, 4^2;4^2", "type has dimension 2, row says n = 3"),
+            ("3;2;3^;1, 4^2;4^2", "bad term"),
+            (f"2;{2**61 - 1};2;1, 3;3", "would overflow int64"),
+        ],
+        ids=["integer", "prime", "dimension", "partition", "large-prime"],
+    )
+    def test_bad_row_is_refused_with_its_line_before_any_row_runs(self, capsys, tmp_path, row, message):
+        # line 2 is a wrong answer that would exit 4 if it ran; the bad row on
+        # line 3 must stop the command before it does
+        bad = tmp_path / "rows.txt"
+        bad.write_text(f"# comment\n3;2;3;1, 4^2;5^2\n{row}\n")
+        code, out, err = run(capsys, "reproduce-table", "--fixture", str(bad))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: fixture line 3: ")
+        assert message in err
+
     def test_empty_fixture_is_rejected(self, capsys, tmp_path):
         bad = tmp_path / "rows.txt"
         bad.write_text("# only a comment\n")

@@ -6,15 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jordanblocks import (
-    JordanType,
-    PrimeChar,
-    alpha_of,
-    binom_mod_p,
-    nu_p,
-    parse_jordan_type,
-    partitions_of,
-)
+from jordanblocks import JordanType, parse_jordan_type, partitions_of
+from jordanblocks.partitions import PrimeChar, alpha_of, binom_mod_p, nu_p
 
 PRIMES = [2, 3, 5, 7]
 

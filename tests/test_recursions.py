@@ -7,10 +7,9 @@ from jordanblocks import (
     OracleCapError,
     clebsch_gordan,
     free_rule,
-    gpx_scale,
-    reflect_rule,
     tensor_block_type,
 )
+from jordanblocks.recursions import gpx_scale, reflect_rule
 
 PRIMES = [2, 3, 5]
 

@@ -8,20 +8,16 @@ from jordanblocks import (
     GroupContext,
     JordanType,
     adjoint_rule,
-    alpha_of,
     build_adjoint_action,
     ext2_type,
     jordan_type_of,
-    nu_p,
     partitions_of,
-    restrict_codim1,
-    rule_case,
-    so_2w1_rule,
-    sp_w2_rule,
     sym2_type,
     tensor_dual_type,
     validate_classical,
 )
+from jordanblocks.partitions import alpha_of
+from jordanblocks.rules import rule_case, so_2w1_rule, sp_w2_rule
 
 small_types = st.dictionaries(
     st.integers(min_value=1, max_value=9),
@@ -225,26 +221,3 @@ class TestSquareRules:
         piece = so_2w1_rule(sym2_type(t, p), t, ctx)
         assert piece + ext2_type(t, p) == adj
 
-
-class TestRestrictCodim1:
-    def test_kernel_level_zero_removes_a_line(self):
-        assert restrict_codim1(JordanType({1: 1, 3: 1}), 0) == JordanType({3: 1})
-
-    def test_positive_kernel_level_shortens_a_block(self):
-        assert restrict_codim1(JordanType({3: 1}), 2) == JordanType({2: 1})
-        assert restrict_codim1(JordanType({2: 1, 4: 2}), 3) == JordanType({2: 1, 3: 1, 4: 1})
-
-    def test_dimension_drops_by_one(self):
-        t = JordanType({1: 1, 2: 2, 5: 1})
-        for m in (0, 1, 4):
-            assert restrict_codim1(t, m).dim == t.dim - 1
-
-    def test_rejects_negative_level(self):
-        with pytest.raises(ValueError):
-            restrict_codim1(JordanType({3: 1}), -1)
-
-    def test_rejects_level_with_no_matching_block(self):
-        with pytest.raises(ValueError, match="cannot remove"):
-            restrict_codim1(JordanType({3: 1}), 4)
-        with pytest.raises(ValueError, match="cannot remove"):
-            restrict_codim1(JordanType({3: 1}), 0)
