@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import PrimeFieldMatrix, block_diagonal, dual_action, jordan_block, kronecker
-from .oracle import _blocks_from_ranks, _checked, _echelon, _rank_chain, _working_dtype
+from .oracle import _add_copies, _blocks_from_ranks, _checked, _echelon, _rank_chain, _working_dtype
 from .partitions import JordanType, PrimeChar
 
 __all__ = ["build_adjoint_action"]
@@ -169,15 +169,15 @@ def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
     """
     n = _require_adjoint_input(t, p)
     p = int(p)
-    out = JordanType()
-    for d1, m1 in t:
-        for d2, m2 in t:
-            copies = m1 * m2 if d1 != d2 else m1 * (m1 - 1)
+    acc: dict[int, int] = {}
+    blocks = list(t)
+    for i, (d1, m1) in enumerate(blocks):
+        for d2, m2 in blocks[i:]:
+            # V_s tensor V_r^* is the dual module of V_r tensor V_s^*, and
+            # u^-T has the Jordan type of u, so one piece serves both orders.
+            copies = m1 * (m1 - 1) if d1 == d2 else 2 * m1 * m2
             if copies:
-                # V_s tensor V_r^* is the dual module of V_r tensor V_s^*, and
-                # u^-T has the Jordan type of u, so one memo serves both orders.
-                piece = _piece_type(min(d1, d2), max(d1, d2), p)
-                out = out + JordanType({size: m * copies for size, m in piece})
+                _add_copies(acc, _piece_type(d1, d2, p), copies)
     # blocks of V_d tensor V_d^* are shorter than 2d, so ranks ends in 0
     ranks = [0] * (2 * max(d for d, _ in t))
     for d, m in t:
@@ -188,5 +188,5 @@ def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
     for k in range(min(h for h, _ in invariants.values()) + 1):
         top = sum(m * invariants[d][1] for d, m in t if invariants[d][0] == k)
         ranks[k] -= 1 + (n % p == 0 and top % p == 0)
-    out = out + _blocks_from_ranks(ranks)
-    return _checked(out, n * n - 1 - (n % p == 0))
+    _add_copies(acc, _blocks_from_ranks(ranks), 1)
+    return _checked(JordanType(acc), n * n - 1 - (n % p == 0))

@@ -1,19 +1,25 @@
-"""Ground-truth Jordan types from matrix ranks.
+"""Ground-truth Jordan types: closed forms where they apply, ranks elsewhere.
 
-The authoritative decomposition path: multiplicities come from the ranks
-of powers of X = u - 1, and every rank is counted by the same division-free
-`_echelon` at every prime, p = 2 included. An explicit matrix goes through
-a rank chain: a row basis of the row space of X^k is carried along,
-multiplied by X as a CSR product and echelonized once per step. For
-J_m tensor J_n no operator is built: X is homogeneous of degree 1 on a
-graded ring, so rank X^k is a sum of ranks of binomial blocks at most
-min(m, n) wide, and all blocks of all powers go through one tagged
-`_echelon` call. At odd p the squares of one block V_d take alternate
-decreasing parts of V_d tensor V_d (Barry 2011, Gow-Laffey 2006; an
-exhaustive test is the warrant, see `_square_single`); only the exterior
-square at p = 2 is still read off an explicit matrix. All arithmetic is
-integer, in the narrowest dtype (int8 to int64) that holds the elimination's
-bound at p; a prime too large for int64 is refused.
+A tensor pair J_m tensor J_n is answered by the first closed form in
+`recursions` that covers it: Clebsch-Gordan below the characteristic, the
+scaling rule when p divides both sizes, the free rule when the larger size
+is a power of p, and the reflection fold when a power of p lies between the
+larger size and m + n. Only the pairs none of these covers reach the
+graded engine, which eliminates; every answer is checked for dimension.
+
+Elsewhere multiplicities come from the ranks of powers of X = u - 1, and
+every rank is counted by the same division-free `_echelon` at every prime,
+p = 2 included. An explicit matrix goes through a rank chain: a row basis
+of the row space of X^k is carried along, multiplied by X as a CSR product
+and echelonized once per step. For J_m tensor J_n no operator is built: X
+is homogeneous of degree 1 on a graded ring, so rank X^k is a sum of ranks
+of binomial blocks at most min(m, n) wide, and all blocks of all powers go
+through one tagged `_echelon` call. At odd p the squares of one block V_d
+take alternate decreasing parts of V_d tensor V_d (Barry 2011, Gow-Laffey
+2006; an exhaustive test is the warrant, see `_square_single`); only the
+exterior square at p = 2 is still read off an explicit matrix. All
+arithmetic is integer, in the narrowest dtype (int8 to int64) that holds
+the elimination's bound at p; a prime too large for int64 is refused.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import numpy as np
 
 from .linalg import PrimeFieldMatrix, exterior_square, jordan_block
 from .partitions import JordanType, PrimeChar
+from .recursions import clebsch_gordan, free_rule, gpx_scale, reflect_rule
 
 DEFAULT_MAX_ENTRIES = 40_000
 
@@ -166,6 +173,12 @@ def _blocks_from_ranks(ranks: list[int]) -> JordanType:
     return JordanType(blocks)
 
 
+def _add_copies(acc: dict[int, int], t: JordanType, copies: int) -> None:
+    """Add copies of every block of t into acc, a size -> multiplicity dict."""
+    for size, mult in t:
+        acc[size] = acc.get(size, 0) + mult * copies
+
+
 def _checked(t: JordanType, dim: int) -> JordanType:
     """t itself, after an explicit dimension check that python -O keeps."""
     if t.dim != dim:
@@ -201,6 +214,33 @@ def jordan_type_of(M: PrimeFieldMatrix) -> JordanType:
 
 @lru_cache(maxsize=None)
 def _tensor_block_type(m: int, n: int, p: int) -> JordanType:
+    """J_m tensor J_n over GF(p), m <= n, from the first closed form that applies.
+
+    In order: Clebsch-Gordan when m + n - 1 <= p; the scaling rule when p
+    divides m and n, on (m/p, n/p); the free rule when n is a power of p; the
+    reflection fold when a power q of p has n < q < m + n, on (q - n, q - m).
+    Pairs none of them covers go to the graded engine. The recursive cases
+    go through this memo, and every answer is checked for dimension.
+    """
+    _working_dtype(p, 2)  # refuses a too-large p, whichever path answers
+    alpha, q = 0, 1
+    while q < n:
+        alpha, q = alpha + 1, q * p
+    if m + n - 1 <= p:
+        t = clebsch_gordan(m, n)
+    elif m % p == 0 and n % p == 0:
+        t = gpx_scale(_tensor_block_type(m // p, n // p, p), 1, p)
+    elif q == n:
+        t = free_rule(m, alpha, p)
+    else:
+        # the folded pair is smaller than (m, n), so this cap never binds
+        t = reflect_rule(m, n, p, max_entries=(m * n) ** 2)
+        if t is None:
+            t = _graded_tensor_type(m, n, p)
+    return _checked(t, m * n)
+
+
+def _graded_tensor_type(m: int, n: int, p: int) -> JordanType:
     """J_m tensor J_n from the ranks of the graded pieces of X^k; m <= n.
 
     On V_m tensor V_n = k[x, y]/(x^m, y^n), X = u tensor u - 1 is
@@ -246,7 +286,7 @@ def _tensor_block_type(m: int, n: int, p: int) -> JordanType:
     _, pivot_tags = _echelon(work, p, tags)
     ranks = np.bincount(blocks[pivot_tags] // (top + 1), minlength=top + 2)
     ranks[0] = m * n
-    return _checked(_blocks_from_ranks(ranks.tolist()), m * n)
+    return _blocks_from_ranks(ranks.tolist())
 
 
 def tensor_block_type(
@@ -281,19 +321,21 @@ def _square_single(d: int, p: int, alternating: bool) -> JordanType:
 def tensor_dual_type(
     t: JordanType, p: int, *, max_entries: int = DEFAULT_MAX_ENTRIES
 ) -> JordanType:
-    """Jordan type of u on V tensor V*, summed over ordered pairs of blocks.
+    """Jordan type of u on V tensor V*, summed over pairs of blocks.
 
     Valid because every indecomposable summand is self-dual, so V* has the
-    same block type as V.
+    same block type as V. Each unordered pair of distinct sizes stands for
+    both orders, so its copies count twice.
     """
     if not t:
         raise ValueError("empty Jordan type")
-    out = JordanType()
-    for d1, m1 in t:
-        for d2, m2 in t:
+    acc: dict[int, int] = {}
+    blocks = list(t)
+    for i, (d1, m1) in enumerate(blocks):
+        for d2, m2 in blocks[i:]:
             part = tensor_block_type(d1, d2, p, max_entries=max_entries)
-            out = out + JordanType({s: m * m1 * m2 for s, m in part})
-    return _checked(out, t.dim**2)
+            _add_copies(acc, part, m1 * m2 * (1 if d1 == d2 else 2))
+    return _checked(JordanType(acc), t.dim**2)
 
 
 def _square_type(
@@ -305,16 +347,17 @@ def _square_type(
         raise ValueError("empty Jordan type")
     p = int(PrimeChar(int(p)))
     side = -1 if alternating else 1
-    out = JordanType()
-    for i, (d1, m1) in enumerate(t):
+    acc: dict[int, int] = {}
+    blocks = list(t)
+    for i, (d1, m1) in enumerate(blocks):
         _check_cap(d1 * (d1 + side) // 2, max_entries)
-        out = out + JordanType({s: m * m1 for s, m in _square_single(d1, p, alternating)})
-        for d2, m2 in list(t)[i:]:
+        _add_copies(acc, _square_single(d1, p, alternating), m1)
+        for d2, m2 in blocks[i:]:
             pairs = m1 * (m1 - 1) // 2 if d2 == d1 else m1 * m2
             if pairs:
                 part = tensor_block_type(d1, d2, p, max_entries=max_entries)
-                out = out + JordanType({s: m * pairs for s, m in part})
-    return _checked(out, t.dim * (t.dim + side) // 2)
+                _add_copies(acc, part, pairs)
+    return _checked(JordanType(acc), t.dim * (t.dim + side) // 2)
 
 
 def ext2_type(

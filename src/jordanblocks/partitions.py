@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
@@ -55,6 +56,8 @@ class JordanType:
 
     Values are immutable; `+` is multiset union. Iteration yields (size, mult)
     pairs in ascending size order, which is also the canonical rendering order.
+    Sizes and multiplicities must be integers (numpy integers included): a
+    float or a string is refused, not truncated or parsed.
     """
 
     __slots__ = ("_pairs",)
@@ -63,7 +66,12 @@ class JordanType:
         items = blocks.items() if isinstance(blocks, Mapping) else blocks
         acc: dict[int, int] = {}
         for size, mult in items:
-            size, mult = int(size), int(mult)
+            try:
+                size, mult = operator.index(size), operator.index(mult)
+            except TypeError:
+                raise TypeError(
+                    f"block sizes and multiplicities must be integers, got {size!r}: {mult!r}"
+                ) from None
             if size < 1:
                 raise ValueError(f"block size must be positive, got {size}")
             if mult < 1:

@@ -1,15 +1,19 @@
 """Closed-form identities for Jordan types of tensor products of blocks.
 
-Each function here predicts the Jordan type of J_m tensor J_n over GF(p) in
-some restricted regime, without building a matrix. They serve as fast paths
-and as independent checks: the test suite compares every one of them against
-the elimination-based oracle on its stated domain, and none is trusted
-outside that domain.
+Each function here gives the Jordan type of J_m tensor J_n over GF(p) in
+some restricted regime, without building a matrix. `oracle` answers every
+tensor pair through them, trying in order `clebsch_gordan` (m + n - 1 <= p),
+`gpx_scale` (p divides m and n), `free_rule` (the larger size is a power of
+p) and `reflect_rule` (a power of p lies between the larger size and
+m + n); only the pairs none covers are eliminated. The scaling and free
+identities are due to Renaud (J. Algebra 58, 1979) and Glasby-Praeger-Xia
+(J. Algebra 2016). The tests compare every rule against the graded
+elimination engine on its stated domain, and none is applied outside that
+domain.
 """
 
 from __future__ import annotations
 
-from .oracle import DEFAULT_MAX_ENTRIES, tensor_block_type
 from .partitions import JordanType, PrimeChar
 
 __all__ = ["clebsch_gordan", "free_rule", "gpx_scale", "reflect_rule"]
@@ -30,7 +34,7 @@ def gpx_scale(base: JordanType, alpha: int, p: int) -> JordanType:
 
 
 def reflect_rule(
-    m: int, n: int, p: int, *, max_entries: int = DEFAULT_MAX_ENTRIES
+    m: int, n: int, p: int, *, max_entries: int | None = None
 ) -> JordanType | None:
     """Fold (m, n) across a power of p that separates max(m, n) from m + n.
 
@@ -38,12 +42,17 @@ def reflect_rule(
     such a q is unique because the next power up is already at least 2q.
     The type is then m + n - q full blocks of size q plus the type of the
     complementary pair (q - m, q - n), which the oracle supplies; max_entries
-    is forwarded to that oracle call. Returns None when no power of p lies
-    in the window.
+    is forwarded to that oracle call (None: the oracle's default). Returns
+    None when no power of p lies in the window.
     """
+    # imported here: the oracle routes its own pairs through this module
+    from .oracle import DEFAULT_MAX_ENTRIES, tensor_block_type
+
     if m < 1 or n < 1:
         raise ValueError("tensor factors must have positive dimension")
     PrimeChar(int(p))
+    if max_entries is None:
+        max_entries = DEFAULT_MAX_ENTRIES
     q = int(p)
     while q < m + n:
         if q > max(m, n):
@@ -72,8 +81,9 @@ def clebsch_gordan(m: int, n: int) -> JordanType:
     """Characteristic-zero ladder: sizes m+n-1, m+n-3, ..., |m-n|+1, once each.
 
     Over GF(p) this matches the true decomposition whenever m + n - 1 <= p,
-    a sufficient bound enforced by callers and verified against the oracle
-    in the tests; the function itself is prime-free and never fails.
+    a sufficient bound: the oracle applies it only there, and the tests
+    check it there against the graded engine. The function itself is
+    prime-free and never fails.
     """
     if m < 1 or n < 1:
         raise ValueError("tensor factors must have positive dimension")

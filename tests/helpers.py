@@ -1,8 +1,9 @@
 """Shared helpers for the test suite.
 
 Provides a seeded random partition generator, mod-p matrix powers, a dense
-matrix for the shifted tensor action, the ungraded rank chain for
-J_m (x) J_n that the graded oracle is tested against, and the paper's proof
+matrix for the shifted tensor action, the graded engine in either factor
+order (the referee of every closed form), the ungraded rank chain for
+J_m (x) J_n that the graded engine is tested against, and the paper's proof
 model: closed forms for powers of X = u - 1 on dual and tensor vectors, the
 delta_beta vectors, and the check that X walks them down the ladder.
 
@@ -63,6 +64,12 @@ def tensor_x_matrix(t: JordanType, p: int) -> np.ndarray:
     full = kronecker(u, dual_action(u)).array
     n2 = full.shape[0]
     return (full - np.eye(n2, dtype=np.int64)) % p
+
+
+def graded_engine(m: int, n: int, p: int) -> JordanType:
+    """J_m (x) J_n by elimination alone: the oracle's graded engine, no closed
+    form and no memo, with the factors in either order."""
+    return oracle._graded_tensor_type(min(m, n), max(m, n), p)
 
 
 def shift_chain_tensor_type(m: int, n: int, p: int) -> JordanType:

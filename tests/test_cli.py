@@ -14,6 +14,18 @@ from jordanblocks.cli import main
 SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sweep.txt"
 
 
+def reference_rows(group: str, p: int, max_n: int) -> list[str]:
+    """The rows `sweep --group group --p p --max-n max_n` prints, in order, as
+    recorded in the benchmark's reference (a row's first field is n)."""
+    want = []
+    for line in SWEEP_REFERENCE.read_text(encoding="utf-8").splitlines():
+        fields = line.split(";", 3)
+        if fields[:2] == [group, str(p)] and int(fields[3].split(";", 1)[0]) <= max_n:
+            want.append(fields[3])
+    assert want
+    return want
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -176,12 +188,17 @@ class TestSweep:
     @pytest.mark.parametrize("group", ["sp", "so"])
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_classical_rows_match_the_benchmark_reference(self, capsys, group, p):
-        want = []
-        for line in SWEEP_REFERENCE.read_text(encoding="utf-8").splitlines():
-            if line.startswith(f"{group};{p};14;"):
-                want.append(line.split(";", 3)[3])
-        assert want
+        want = reference_rows(group, p, 14)
         code, out, _ = run(capsys, "sweep", "--p", str(p), "--max-n", "14", "--group", group)
+        assert code == 0
+        assert out.splitlines() == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 10007])
+    def test_linear_rows_match_the_benchmark_reference(self, capsys, p):
+        # the reference's p = 2 call reaches n = 15, which the default cap
+        # refuses; its rows up to n = 14 are this call's
+        want = reference_rows("sl", p, 14)
+        code, out, _ = run(capsys, "sweep", "--p", str(p), "--max-n", "14")
         assert code == 0
         assert out.splitlines() == want
 
@@ -249,9 +266,18 @@ class TestReproduceTable:
         assert err.startswith("error: cannot read fixture")
 
 
+def fresh_interpreter(code: str) -> str:
+    """stdout of code run in a new interpreter on this checkout's src/, so
+    that no other test's import counts."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestImportCost:
     def test_scipy_is_not_loaded_off_the_p2_exterior_square(self):
-        # a fresh interpreter, so that no other test's import counts
         code = """
 import sys
 import jordanblocks, jordanblocks.cli
@@ -261,11 +287,22 @@ for kind, blocks in (("SL", {1: 1, 2: 1, 3: 1}), ("Sp", {1: 2, 3: 2}), ("SO", {1
     assert build_report(t, GroupContext(kind, t.dim, 3), verify=True).verified
 print("scipy" in sys.modules)
 """
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert fresh_interpreter(code) == "False\n"
+
+    @pytest.mark.parametrize("module", ["jordanblocks.recursions", "jordanblocks.oracle"])
+    def test_either_side_of_the_rule_cycle_imports_alone(self, module):
+        # oracle routes pairs through recursions, whose reflection fold asks
+        # oracle for the folded pair; both must import first, and neither
+        # may pull in scipy
+        code = f"""
+import sys
+import {module}
+from jordanblocks.oracle import tensor_block_type
+from jordanblocks.recursions import reflect_rule
+assert reflect_rule(3, 4, 5) == tensor_block_type(3, 4, 5)
+print("scipy" in sys.modules)
+"""
+        assert fresh_interpreter(code) == "False\n"
 
 
 class TestArgumentHandling:

@@ -125,8 +125,7 @@ class TestTensorBlockType:
             (m, n)
             for n in range(1, 21)
             for m in range(1, n + 1)
-            if tensor_block_type(m, n, p, max_entries=(m * n) ** 2)
-            != shift_chain_tensor_type(m, n, p)
+            if oracle._graded_tensor_type(m, n, p) != shift_chain_tensor_type(m, n, p)
         ]
         assert wrong == []
 
@@ -162,39 +161,112 @@ class TestTensorBlockType:
         assert issubclass(OracleCapError, ValueError)
 
     def test_dimension_check_survives_python_O(self):
-        # a rank chain that loses a block must still be caught when asserts are stripped
-        script = textwrap.dedent(
-            """
-            import sys
-            from jordanblocks import JordanType, oracle
+        # a rank chain that loses a block must still be caught when asserts
+        # are stripped; (4, 4) at p = 3 is covered by no closed form
+        assert dropped_block_is_caught("_blocks_from_ranks", "tensor_block_type(4, 4, 3)", 16)
 
-            real = oracle._blocks_from_ranks
+    @pytest.mark.parametrize(
+        "rule, call, dim",
+        [
+            # 2 + 3 - 1 <= 5: the Clebsch-Gordan ladder answers
+            ("clebsch_gordan", "tensor_block_type(2, 3, 5)", 6),
+            # 3 and 6 are multiples of 3: the scaling rule answers from (1, 2)
+            ("gpx_scale", "tensor_block_type(3, 6, 3)", 18),
+            # 4 is a power of 2: the free rule answers
+            ("free_rule", "tensor_block_type(3, 4, 2)", 12),
+            # 4 < 5 < 3 + 4: the reflection fold answers from (1, 2)
+            ("reflect_rule", "tensor_block_type(3, 4, 5)", 12),
+        ],
+    )
+    def test_closed_form_dimension_check_survives_python_O(self, rule, call, dim):
+        assert dropped_block_is_caught(rule, call, dim)
 
-            def drop_one_block(ranks):
-                blocks = real(ranks).blocks
-                largest = max(blocks)
-                blocks[largest] -= 1
-                return JordanType({s: m for s, m in blocks.items() if m})
 
-            oracle._blocks_from_ranks = drop_one_block
-            if not sys.flags.optimize:
-                sys.exit("not running under python -O")
-            try:
-                oracle.tensor_block_type(3, 4, 5)
-            except AssertionError as exc:
-                print(exc)
-                sys.exit(0)
-            sys.exit("no error for a Jordan type of the wrong dimension")
-            """
-        )
-        src = str(Path(jordanblocks.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "expected 12" in proc.stdout
+def dropped_block_is_caught(patched: str, call: str, dim: int) -> bool:
+    """Under python -O, make oracle.<patched> lose its largest block, run
+    oracle.<call>, and check that the dimension check still fires."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from jordanblocks import JordanType, oracle
+
+        real = oracle.{patched}
+
+        def drop_one_block(*args, **kwargs):
+            blocks = real(*args, **kwargs).blocks
+            largest = max(blocks)
+            blocks[largest] -= 1
+            return JordanType({{s: m for s, m in blocks.items() if m}})
+
+        oracle.{patched} = drop_one_block
+        if not sys.flags.optimize:
+            sys.exit("not running under python -O")
+        try:
+            oracle.{call}
+        except AssertionError as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit("no error for a Jordan type of the wrong dimension")
+        """
+    )
+    src = str(Path(jordanblocks.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return f"expected {dim}" in proc.stdout
+
+
+class TestRouting:
+    # answers per path for the pairs below, from a cold memo. Smaller pairs
+    # come first, so the scaled pair and the folded complement are memo hits
+    # and the counts add up to the 2532 pairs; 31 of the Clebsch-Gordan
+    # answers are at p <= 7, and 1157 of the 2112 small-prime pairs eliminate
+    FIRED = {
+        "clebsch_gordan": 451,
+        "gpx_scale": 222,
+        "free_rule": 83,
+        "reflect_rule": 619,
+        "_graded_tensor_type": 1157,
+    }
+
+    def test_router_matches_the_engine(self, monkeypatch):
+        # every m <= n <= 32 at four primes, and the Clebsch-Gordan regime
+        # m <= n <= 20 at two large primes
+        pairs = [(m, n, p) for p in PRIMES for n in range(1, 33) for m in range(1, n + 1)]
+        pairs += [(m, n, p) for p in (10007, 1000003) for n in range(1, 21) for m in range(1, n + 1)]
+        reference = {}
+        real_engine = oracle._graded_tensor_type
+
+        def engine(m, n, p):
+            # a pair the router eliminates is not eliminated a second time
+            if (m, n, p) not in reference:
+                reference[m, n, p] = real_engine(m, n, p)
+            return reference[m, n, p]
+
+        monkeypatch.setattr(oracle, "_graded_tensor_type", engine)
+        fired = dict.fromkeys(self.FIRED, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                answer = fn(*args, **kwargs)
+                if answer is not None:
+                    fired[name] += 1
+                return answer
+
+            return wrapper
+
+        for name in fired:
+            monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+        oracle._tensor_block_type.cache_clear()
+        try:
+            wrong = [(m, n, p) for m, n, p in pairs if oracle._tensor_block_type(m, n, p) != engine(m, n, p)]
+        finally:
+            oracle._tensor_block_type.cache_clear()
+        assert wrong == []
+        assert fired == self.FIRED
 
 
 class TestWorkingDtype:
@@ -259,11 +331,11 @@ class TestEchelon:
 
 class TestLargePrimes:
     def test_large_prime_pair_stays_small(self):
-        # 12 + 12 - 1 <= p, so the answer is the characteristic-zero ladder
-        oracle._tensor_block_type.cache_clear()
+        # the engine, which the oracle no longer reaches here: 12 + 12 - 1 <= p,
+        # so the answer is the characteristic-zero ladder
         tracemalloc.start()
         try:
-            got = tensor_block_type(12, 12, 1000003)
+            got = oracle._graded_tensor_type(12, 12, 1000003)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -273,11 +345,12 @@ class TestLargePrimes:
 
 class TestMemory:
     def test_cold_30x30_pair_stays_small(self):
-        # the graded blocks are at most 30 wide; a 900-wide chain is not needed
-        oracle._tensor_block_type.cache_clear()
+        # the engine itself: the oracle reads 30 x 30 at p = 3 off a scaled
+        # 10 x 10. The graded blocks are at most 30 wide; a 900-wide chain is
+        # not needed
         tracemalloc.start()
         try:
-            got = tensor_block_type(30, 30, 3, max_entries=10**6)
+            got = oracle._graded_tensor_type(30, 30, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -55,6 +56,17 @@ class TestJordanType:
             JordanType({2: 0})
         with pytest.raises(ValueError):
             JordanType({-3: 1})
+
+    @pytest.mark.parametrize("blocks", [{2.7: 1}, [(2, 1.9)], {"3": 2}, {2.0: 1}])
+    def test_rejects_non_integer_sizes_and_multiplicities(self, blocks):
+        # neither truncated (2.7 -> 2) nor parsed ("3" -> 3)
+        with pytest.raises(TypeError, match="must be integers"):
+            JordanType(blocks)
+
+    def test_accepts_numpy_integers_as_python_ints(self):
+        t = JordanType({np.int64(3): np.int32(2), np.uint8(1): 1})
+        assert t == JordanType({1: 1, 3: 2})
+        assert all(type(v) is int for pair in t for v in pair)
 
     def test_empty_type_is_allowed(self):
         t = JordanType({})
