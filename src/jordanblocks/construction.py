@@ -27,7 +27,7 @@ __all__ = ["build_adjoint_action"]
 def _require_adjoint_input(t: JordanType, p: int) -> int:
     if not t:
         raise ValueError("empty Jordan type")
-    PrimeChar(int(p))
+    PrimeChar(p)
     n = t.dim
     if n < 2:
         raise ValueError(f"need dim >= 2, got {n}")

@@ -28,14 +28,14 @@ class PrimeFieldMatrix:
     __slots__ = ("array", "p")
 
     def __init__(self, entries, p: int):
-        PrimeChar(int(p))
+        p = int(PrimeChar(p))
         arr = np.asarray(entries, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
         arr = arr % p
         arr.flags.writeable = False
         self.array = arr
-        self.p = int(p)
+        self.p = p
 
     @property
     def rows(self) -> int:

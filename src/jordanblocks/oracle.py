@@ -4,8 +4,9 @@ A tensor pair J_m tensor J_n is answered by the first closed form in
 `recursions` that covers it: Clebsch-Gordan below the characteristic, the
 scaling rule when p divides both sizes, the free rule when the larger size
 is a power of p, and the reflection fold when a power of p lies between the
-larger size and m + n. Only the pairs none of these covers reach the
-graded engine, which eliminates; every answer is checked for dimension.
+larger size and m + n; the memo hands the last two their smaller pair. Only
+the pairs none of these covers reach the graded engine, which eliminates;
+every answer is checked for dimension.
 
 Elsewhere multiplicities come from the ranks of powers of X = u - 1, and
 every rank is counted by the same division-free `_echelon` at every prime,
@@ -218,9 +219,10 @@ def _tensor_block_type(m: int, n: int, p: int) -> JordanType:
 
     In order: Clebsch-Gordan when m + n - 1 <= p; the scaling rule when p
     divides m and n, on (m/p, n/p); the free rule when n is a power of p; the
-    reflection fold when a power q of p has n < q < m + n, on (q - n, q - m).
-    Pairs none of them covers go to the graded engine. The recursive cases
-    go through this memo, and every answer is checked for dimension.
+    reflection fold when q, the least power of p that is >= n, is below
+    m + n, on (q - n, q - m). Pairs none of them covers go to the graded
+    engine. The recursive cases go through this memo, never through the
+    capped public wrapper, and every answer is checked for dimension.
     """
     _working_dtype(p, 2)  # refuses a too-large p, whichever path answers
     alpha, q = 0, 1
@@ -232,11 +234,10 @@ def _tensor_block_type(m: int, n: int, p: int) -> JordanType:
         t = gpx_scale(_tensor_block_type(m // p, n // p, p), 1, p)
     elif q == n:
         t = free_rule(m, alpha, p)
+    elif q < m + n:
+        t = reflect_rule(m, n, p, _tensor_block_type(q - n, q - m, p))
     else:
-        # the folded pair is smaller than (m, n), so this cap never binds
-        t = reflect_rule(m, n, p, max_entries=(m * n) ** 2)
-        if t is None:
-            t = _graded_tensor_type(m, n, p)
+        t = _graded_tensor_type(m, n, p)
     return _checked(t, m * n)
 
 
@@ -295,10 +296,10 @@ def tensor_block_type(
     """Jordan type of J_m tensor J_n over GF(p), memoized by (min, max, p)."""
     if m < 1 or n < 1:
         raise ValueError("tensor factors must have positive dimension")
-    PrimeChar(int(p))
+    p = int(PrimeChar(p))
     lo, hi = sorted((m, n))
     _check_cap(lo * hi, max_entries)
-    return _tensor_block_type(lo, hi, int(p))
+    return _tensor_block_type(lo, hi, p)
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +346,7 @@ def _square_type(
     own square, each unordered pair of blocks their tensor product."""
     if not t:
         raise ValueError("empty Jordan type")
-    p = int(PrimeChar(int(p)))
+    p = int(PrimeChar(p))
     side = -1 if alternating else 1
     acc: dict[int, int] = {}
     blocks = list(t)

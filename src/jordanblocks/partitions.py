@@ -41,11 +41,14 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeChar(int):
-    """A prime characteristic. Primality is verified once at construction."""
+    """A prime characteristic, checked at construction: an integer (numpy
+    integers too, never a float or a string) that is prime."""
 
     def __new__(cls, p: int) -> "PrimeChar":
-        if not isinstance(p, int):
-            raise TypeError(f"characteristic must be an integer, got {type(p).__name__}")
+        try:
+            p = operator.index(p)
+        except TypeError:
+            raise TypeError(f"characteristic must be an integer, got {type(p).__name__}") from None
         if not _is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         return super().__new__(cls, p)
@@ -60,7 +63,7 @@ class JordanType:
     float or a string is refused, not truncated or parsed.
     """
 
-    __slots__ = ("_pairs",)
+    __slots__ = ("_pairs", "_dim")
 
     def __init__(self, blocks: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = blocks.items() if isinstance(blocks, Mapping) else blocks
@@ -78,6 +81,7 @@ class JordanType:
                 raise ValueError(f"multiplicity must be positive, got {mult}")
             acc[size] = acc.get(size, 0) + mult
         self._pairs: tuple[tuple[int, int], ...] = tuple(sorted(acc.items()))
+        self._dim = sum(s * m for s, m in self._pairs)
 
     @property
     def blocks(self) -> dict[int, int]:
@@ -85,7 +89,7 @@ class JordanType:
 
     @property
     def dim(self) -> int:
-        return sum(s * m for s, m in self._pairs)
+        return self._dim
 
     @property
     def sizes(self) -> tuple[int, ...]:

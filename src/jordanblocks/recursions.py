@@ -1,11 +1,11 @@
 """Closed-form identities for Jordan types of tensor products of blocks.
 
 Each function here gives the Jordan type of J_m tensor J_n over GF(p) in
-some restricted regime, without building a matrix. `oracle` answers every
-tensor pair through them, trying in order `clebsch_gordan` (m + n - 1 <= p),
-`gpx_scale` (p divides m and n), `free_rule` (the larger size is a power of
-p) and `reflect_rule` (a power of p lies between the larger size and
-m + n); only the pairs none covers are eliminated. The scaling and free
+some restricted regime, without building a matrix. None of them looks up
+another tensor pair: a rule that builds on a smaller pair (`gpx_scale`,
+`reflect_rule`) takes that pair's type as an argument, so this module
+depends on `partitions` alone. `oracle` decides which rule answers each
+pair and supplies the smaller pairs from its memo. The scaling and free
 identities are due to Renaud (J. Algebra 58, 1979) and Glasby-Praeger-Xia
 (J. Algebra 2016). The tests compare every rule against the graded
 elimination engine on its stated domain, and none is applied outside that
@@ -28,38 +28,27 @@ def gpx_scale(base: JordanType, alpha: int, p: int) -> JordanType:
     """
     if alpha < 0:
         raise ValueError(f"scaling exponent must be non-negative, got {alpha}")
-    PrimeChar(int(p))
-    q = int(p) ** alpha
+    q = int(PrimeChar(p)) ** alpha
     return JordanType({size * q: mult * q for size, mult in base})
 
 
-def reflect_rule(
-    m: int, n: int, p: int, *, max_entries: int | None = None
-) -> JordanType | None:
-    """Fold (m, n) across a power of p that separates max(m, n) from m + n.
+def reflect_rule(m: int, n: int, p: int, folded: JordanType) -> JordanType:
+    """Fold (m, n) across a power q of p with max(m, n) < q < m + n.
 
-    Applicable when some power q = p^alpha satisfies max(m, n) < q < m + n;
-    such a q is unique because the next power up is already at least 2q.
-    The type is then m + n - q full blocks of size q plus the type of the
-    complementary pair (q - m, q - n), which the oracle supplies; max_entries
-    is forwarded to that oracle call (None: the oracle's default). Returns
-    None when no power of p lies in the window.
+    Such a q is unique, because the next power up is already at least 2q.
+    folded must be the type of the folded pair J_(q-m) tensor J_(q-n), given
+    the way `gpx_scale` is given its base. The type of (m, n) is then
+    m + n - q blocks of size q plus folded. Raises ValueError when no power
+    of p lies in the window or folded has the wrong dimension.
     """
-    # imported here: the oracle routes its own pairs through this module
-    from .oracle import DEFAULT_MAX_ENTRIES, tensor_block_type
-
-    if m < 1 or n < 1:
-        raise ValueError("tensor factors must have positive dimension")
-    PrimeChar(int(p))
-    if max_entries is None:
-        max_entries = DEFAULT_MAX_ENTRIES
-    q = int(p)
-    while q < m + n:
-        if q > max(m, n):
-            complement = tensor_block_type(q - m, q - n, p, max_entries=max_entries)
-            return JordanType({q: m + n - q}) + complement
+    q = p = int(PrimeChar(p))
+    while q <= max(m, n):
         q *= p
-    return None
+    if q >= m + n:
+        raise ValueError(f"no power of {p} lies strictly between {max(m, n)} and {m + n}")
+    if folded.dim != (q - m) * (q - n):
+        raise ValueError(f"folded type has dimension {folded.dim}, expected {(q - m) * (q - n)}")
+    return JordanType({q: m + n - q}) + folded
 
 
 def free_rule(m: int, alpha: int, p: int) -> JordanType:
@@ -70,8 +59,7 @@ def free_rule(m: int, alpha: int, p: int) -> JordanType:
     """
     if alpha < 1:
         raise ValueError(f"exponent must be positive, got {alpha}")
-    PrimeChar(int(p))
-    q = int(p) ** alpha
+    q = int(PrimeChar(p)) ** alpha
     if not 1 <= m <= q:
         raise ValueError(f"factor dimension {m} must lie in 1..{q}")
     return JordanType({q: m})

@@ -12,6 +12,7 @@ carrier predictions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,7 +38,8 @@ class GroupContext:
     Construction enforces the domain: SL needs n >= 2; Sp needs n >= 4 and
     even; SO needs n >= 5; and Sp/SO are rejected outright at p = 2, where
     the symmetric and exterior squares stop splitting the tensor square and
-    the analysis implemented here does not apply.
+    the analysis implemented here does not apply. n and p must be integers
+    (numpy integers included) and are stored as plain ints.
     """
 
     kind: str
@@ -47,7 +49,8 @@ class GroupContext:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        PrimeChar(int(self.p))
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "p", int(PrimeChar(self.p)))
         if self.kind == "SL" and self.n < 2:
             raise ValueError(f"SL needs n >= 2, got {self.n}")
         if self.kind == "Sp":
@@ -103,14 +106,14 @@ def rule_case(t: JordanType, p: int) -> str:
     sub-case depends on whether p still divides n / p^alpha and on whether
     p^alpha exceeds 2.
     """
-    PrimeChar(int(p))
+    p = int(PrimeChar(p))
     n = t.dim
     if n % p:
         return "i"
-    alpha = alpha_of(t, int(p))
+    alpha = alpha_of(t, p)
     if alpha == 0:
         return "ii"
-    q = int(p) ** alpha
+    q = p**alpha
     if (n // q) % p == 0:
         return "iii-a"
     return "iii-b" if q > 2 else "iii-c"
@@ -148,7 +151,7 @@ def _apply_case(carrier: JordanType, case: str, q: int) -> JordanType:
 
 def _rule(carrier: JordanType, t: JordanType, p: int) -> JordanType:
     case = rule_case(t, p)
-    q = int(p) ** alpha_of(t, int(p)) if case.startswith("iii") else 0
+    q = p ** alpha_of(t, p) if case.startswith("iii") else 0
     return _apply_case(carrier, case, q)
 
 

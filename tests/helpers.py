@@ -2,7 +2,8 @@
 
 Provides a seeded random partition generator, mod-p matrix powers, a dense
 matrix for the shifted tensor action, the graded engine in either factor
-order (the referee of every closed form), the ungraded rank chain for
+order (the referee of every closed form), the power of p that the
+reflection fold folds across, the ungraded rank chain for
 J_m (x) J_n that the graded engine is tested against, and the paper's proof
 model: closed forms for powers of X = u - 1 on dual and tensor vectors, the
 delta_beta vectors, and the check that X walks them down the ladder.
@@ -70,6 +71,13 @@ def graded_engine(m: int, n: int, p: int) -> JordanType:
     """J_m (x) J_n by elimination alone: the oracle's graded engine, no closed
     form and no memo, with the factors in either order."""
     return oracle._graded_tensor_type(min(m, n), max(m, n), p)
+
+
+def fold_power(m: int, n: int, p: int) -> int | None:
+    """The power q of p with max(m, n) < q < m + n, where the reflection fold
+    applies, or None when no power of p lies strictly between them."""
+    inside = [p**a for a in range(1, m + n) if max(m, n) < p**a < m + n]
+    return inside[0] if inside else None
 
 
 def shift_chain_tensor_type(m: int, n: int, p: int) -> JordanType:

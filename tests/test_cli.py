@@ -290,16 +290,15 @@ print("scipy" in sys.modules)
         assert fresh_interpreter(code) == "False\n"
 
     @pytest.mark.parametrize("module", ["jordanblocks.recursions", "jordanblocks.oracle"])
-    def test_either_side_of_the_rule_cycle_imports_alone(self, module):
-        # oracle routes pairs through recursions, whose reflection fold asks
-        # oracle for the folded pair; both must import first, and neither
-        # may pull in scipy
+    def test_rules_and_oracle_import_alone(self, module):
+        # oracle routes pairs through recursions, which imports no oracle;
+        # either may be imported first, and neither may pull in scipy
         code = f"""
 import sys
 import {module}
 from jordanblocks.oracle import tensor_block_type
 from jordanblocks.recursions import reflect_rule
-assert reflect_rule(3, 4, 5) == tensor_block_type(3, 4, 5)
+assert reflect_rule(3, 4, 5, tensor_block_type(1, 2, 5)) == tensor_block_type(3, 4, 5)
 print("scipy" in sys.modules)
 """
         assert fresh_interpreter(code) == "False\n"

@@ -1,0 +1,67 @@
+"""The package's modules import each other without a cycle.
+
+Read from the source with `ast`, not by importing: every intra-package
+import counts, including one inside a function body, where a cycle would
+otherwise hide until that function runs.
+"""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jordanblocks"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the package that source imports, at any depth; a name
+    imported from the package root counts as an import of `__init__`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "jordanblocks":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(a.name if a.name in MODULES else "__init__" for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "jordanblocks":
+                    found.add(rest.split(".")[0] or "__init__")
+    return found
+
+
+GRAPH = {path.stem: package_imports(path.read_text()) for path in PACKAGE.glob("*.py")}
+
+
+def test_the_import_graph_is_acyclic():
+    try:
+        order = list(TopologicalSorter(GRAPH).static_order())
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+    assert set(order) == MODULES
+
+
+def test_the_closed_forms_import_only_partitions():
+    assert GRAPH["recursions"] == {"partitions"}
+
+
+@pytest.mark.parametrize(
+    "source, modules",
+    [
+        ("def f():\n    from .oracle import tensor_block_type\n", {"oracle"}),
+        ("from . import rules, JordanType\n", {"rules", "__init__"}),
+        ("import numpy\nimport jordanblocks.linalg as la\n", {"linalg"}),
+        ("from jordanblocks.partitions import JordanType\n", {"partitions"}),
+        ("from jordanblocks import oracle\n", {"oracle"}),
+    ],
+)
+def test_imports_are_found_at_any_depth(source, modules):
+    assert package_imports(source) == modules

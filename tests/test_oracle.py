@@ -268,6 +268,22 @@ class TestRouting:
         assert wrong == []
         assert fired == self.FIRED
 
+    def test_router_never_calls_the_public_lookup(self, monkeypatch):
+        # the scaled and folded pairs come from the memo, never from the
+        # capped public wrapper, so routing works with that wrapper gone
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"the router called tensor_block_type{args}")
+
+        monkeypatch.setattr(oracle, "tensor_block_type", refuse)
+        oracle._tensor_block_type.cache_clear()
+        try:
+            for p in PRIMES:
+                for n in range(1, 33):
+                    for m in range(1, n + 1):
+                        oracle._tensor_block_type(m, n, p)
+        finally:
+            oracle._tensor_block_type.cache_clear()
+
 
 class TestWorkingDtype:
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Tests for Jordan types, partitions, and mod-p binomials."""
 
+import json
 import math
 
 import numpy as np
@@ -7,10 +8,35 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jordanblocks import JordanType, parse_jordan_type, partitions_of
+from jordanblocks import (
+    GroupContext,
+    JordanType,
+    build_adjoint_action,
+    build_report,
+    ext2_type,
+    free_rule,
+    parse_jordan_type,
+    partitions_of,
+    sym2_type,
+    tensor_block_type,
+    tensor_dual_type,
+)
 from jordanblocks.partitions import PrimeChar, alpha_of, binom_mod_p, nu_p
 
 PRIMES = [2, 3, 5, 7]
+
+# every public entry point that takes a prime (or, for GroupContext, a
+# dimension), called with 3 in that place
+TAKES_AN_INTEGER = {
+    "tensor_block_type": lambda p: tensor_block_type(2, 3, p),
+    "tensor_dual_type": lambda p: tensor_dual_type(JordanType({2: 1, 3: 1}), p),
+    "ext2_type": lambda p: ext2_type(JordanType({2: 2}), p),
+    "sym2_type": lambda p: sym2_type(JordanType({2: 2}), p),
+    "free_rule": lambda p: free_rule(2, 1, p),
+    "build_adjoint_action": lambda p: build_adjoint_action(JordanType({2: 1, 1: 1}), p).array.tolist(),
+    "GroupContext.p": lambda p: json.dumps(build_report(JordanType({3: 1}), GroupContext("SL", 3, p)).to_json_dict()),
+    "GroupContext.n": lambda n: json.dumps(build_report(JordanType({3: 1}), GroupContext("SL", n, 3)).to_json_dict()),
+}
 
 jordan_types = st.dictionaries(
     st.integers(min_value=1, max_value=12),
@@ -107,6 +133,21 @@ class TestPrimeChar:
     def test_rejects_non_primes(self, p):
         with pytest.raises(ValueError):
             PrimeChar(p)
+
+
+class TestIntegerArguments:
+    # 3.9 would be truncated to 3 and "3" parsed as 3; neither may be
+    @pytest.mark.parametrize("value", [3.0, 3.9, "3"])
+    @pytest.mark.parametrize("entry", sorted(TAKES_AN_INTEGER))
+    def test_floats_and_strings_are_refused(self, entry, value):
+        with pytest.raises(TypeError):
+            TAKES_AN_INTEGER[entry](value)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.int32(3), np.uint8(3)])
+    @pytest.mark.parametrize("entry", sorted(TAKES_AN_INTEGER))
+    def test_numpy_integers_are_accepted_and_serialise(self, entry, value):
+        # a report's JSON needs GroupContext to store plain ints
+        assert TAKES_AN_INTEGER[entry](value) == TAKES_AN_INTEGER[entry](3)
 
 
 class TestValuations:

@@ -7,15 +7,10 @@ the graded elimination engine (`helpers.graded_engine`), never by
 
 import pytest
 
-from jordanblocks import (
-    JordanType,
-    OracleCapError,
-    clebsch_gordan,
-    free_rule,
-)
+from jordanblocks import JordanType, clebsch_gordan, free_rule
 from jordanblocks.recursions import gpx_scale, reflect_rule
 
-from helpers import graded_engine
+from helpers import fold_power, graded_engine
 
 PRIMES = [2, 3, 5]
 
@@ -52,33 +47,37 @@ class TestGpxScale:
 
 class TestReflectRule:
     def test_worked_examples(self):
-        assert reflect_rule(2, 2, 3) == JordanType({1: 1, 3: 1})
-        assert reflect_rule(2, 3, 2) == JordanType({4: 1, 2: 1})
+        # 2 < 3 < 2 + 2 folds onto (1, 1); 3 < 4 < 2 + 3 folds onto (2, 1)
+        assert reflect_rule(2, 2, 3, JordanType({1: 1})) == JordanType({1: 1, 3: 1})
+        assert reflect_rule(2, 3, 2, JordanType({2: 1})) == JordanType({4: 1, 2: 1})
 
-    def test_returns_none_when_no_power_fits(self):
-        assert reflect_rule(1, 1, 5) is None
-        assert reflect_rule(4, 4, 2) is None
+    def test_rejects_a_pair_no_power_separates(self):
+        with pytest.raises(ValueError, match="no power of 5"):
+            reflect_rule(1, 1, 5, JordanType({1: 1}))
+        # 8 is not below 4 + 4
+        with pytest.raises(ValueError, match="no power of 2"):
+            reflect_rule(4, 4, 2, JordanType({4: 4}))
+
+    def test_rejects_a_folded_type_of_the_wrong_dimension(self):
+        # (2, 2) at p = 3 folds onto (1, 1), of dimension 1
+        with pytest.raises(ValueError, match="dimension 2, expected 1"):
+            reflect_rule(2, 2, 3, JordanType({1: 2}))
 
     def test_symmetric_in_the_factors(self):
-        assert reflect_rule(3, 4, 2) == reflect_rule(4, 3, 2)
-
-    def test_cap_is_forwarded_to_the_complement_lookup(self):
-        # the folded pair (28, 19) is too big for the default entry budget
-        with pytest.raises(OracleCapError):
-            reflect_rule(21, 30, 7)
-        got = reflect_rule(21, 30, 7, max_entries=300_000)
-        assert got is not None
-        assert got.dim == 21 * 30
+        folded = graded_engine(2, 1, 5)
+        assert reflect_rule(3, 4, 5, folded) == reflect_rule(4, 3, 5, folded)
+        assert reflect_rule(3, 4, 5, folded) == JordanType({5: 2, 2: 1})
 
     def test_sweep_agrees_with_the_oracle(self):
         applicable = 0
         for p in PRIMES:
             for m in range(1, 11):
                 for n in range(1, 11):
-                    got = reflect_rule(m, n, p)
-                    if got is None:
+                    q = fold_power(m, n, p)
+                    if q is None:
                         continue
                     applicable += 1
+                    got = reflect_rule(m, n, p, graded_engine(q - n, q - m, p))
                     assert got == graded_engine(m, n, p), (m, n, p)
                     assert got.dim == m * n
         assert applicable == 69
