@@ -1,24 +1,20 @@
-"""Ground-truth Jordan types: closed forms where they apply, ranks elsewhere.
+"""Ground-truth Jordan types: closed forms answer, ranks referee.
 
 A tensor pair J_m tensor J_n is answered by the first closed form in
 `recursions` that covers it: Clebsch-Gordan below the characteristic, the
-scaling rule when p divides both sizes, the free rule when the larger size
-is a power of p, and the reflection fold when a power of p lies between the
-larger size and m + n; the memo hands the last two their smaller pair. Only
-the pairs none of these covers reach the graded engine, which eliminates;
-every answer is checked for dimension.
+free rule when the larger size is a power of p, the reflection fold when a
+power of p lies between the larger size and m + n, and Renaud's two-level
+rule for every other pair; the memo hands the last two their smaller
+pairs. No pair is eliminated, and every answer is checked for dimension.
+At odd p the squares of one block V_d take alternate decreasing parts of
+V_d tensor V_d (Barry 2011, Gow-Laffey 2006); at p = 2 the exterior square
+folds across the next power of 2 (see `_square_single`). No answer here
+builds a matrix.
 
-Elsewhere multiplicities come from the ranks of powers of X = u - 1, and
-every rank is counted by the same division-free `_echelon` at every prime,
-p = 2 included. An explicit matrix goes through a rank chain: a row basis
-of the row space of X^k is carried along, multiplied by X as a CSR product
-and echelonized once per step. For J_m tensor J_n no operator is built: X
-is homogeneous of degree 1 on a graded ring, so rank X^k is a sum of ranks
-of binomial blocks at most min(m, n) wide, and all blocks of all powers go
-through one tagged `_echelon` call. At odd p the squares of one block V_d
-take alternate decreasing parts of V_d tensor V_d (Barry 2011, Gow-Laffey
-2006; an exhaustive test is the warrant, see `_square_single`); only the
-exterior square at p = 2 is still read off an explicit matrix. All
+Ranks are counted only for an explicit matrix (`jordan_type_of`) and for
+`--verify` (`construction`), by the same division-free `_echelon` at every
+prime, p = 2 included: a row basis of the row space of X^k, X = u - 1, is
+carried along, multiplied by X and echelonized once per step. All
 arithmetic is integer, in the narrowest dtype (int8 to int64) that holds
 the elimination's bound at p; a prime too large for int64 is refused.
 """
@@ -29,9 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import PrimeFieldMatrix, exterior_square, jordan_block
+from .linalg import PrimeFieldMatrix
 from .partitions import JordanType, PrimeChar
-from .recursions import clebsch_gordan, free_rule, gpx_scale, reflect_rule
+from .recursions import clebsch_gordan, free_rule, reflect_rule, two_level_rule
 
 DEFAULT_MAX_ENTRIES = 40_000
 
@@ -66,24 +62,17 @@ def _working_dtype(p: int, max_col_terms: int):
     raise ValueError(f"p = {p} is too large: elimination mod p would overflow int64")
 
 
-def _echelon(
-    work: np.ndarray, p: int, tags: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _echelon(work: np.ndarray, p: int) -> np.ndarray:
     """Row-echelon basis of the row space of work, with no division.
 
-    work must already be reduced mod p; it is overwritten. tags, one
-    non-negative integer per row (all 0 when omitted), splits the rows into
-    independent problems: pivots are keyed on (tag, leading column), so a row
-    is only ever combined with pivots of its own tag, and the basis rows of
-    tag t span the row space of the input rows of tag t. Returns the basis
-    rows and the tag of each.
+    work must already be reduced mod p; it is overwritten.
 
-    Vectorized rounds: every active row is bucketed by its pivot key, one
-    row per new key is accepted as a pivot as it stands, and every active row
-    r then becomes lead(pivot) * r + (p - lead(r)) * pivot for the pivot
-    sharing its key. That clears r's lead without a modular inverse, since
-    scaling by a unit keeps the row space. A row just accepted becomes p
-    times itself and dies; every other surviving row's leading column
+    Vectorized rounds: every active row is bucketed by its leading column,
+    one row per new column is accepted as a pivot as it stands, and every
+    active row r then becomes lead(pivot) * r + (p - lead(r)) * pivot for the
+    pivot sharing its column. That clears r's lead without a modular inverse,
+    since scaling by a unit keeps the row space. A row just accepted becomes
+    p times itself and dies; every other surviving row's leading column
     strictly advances, so the loop terminates.
 
     Every entry then lies in [0, 2(p-1)^2], non-negative, so in int8 to
@@ -92,16 +81,11 @@ def _echelon(
     the faster of the two at that width.
     """
     nrows, ncols = work.shape
-    if tags is None:
-        tags = np.zeros(nrows, dtype=np.intp)
-    nkeys = (int(tags.max()) + 1 if nrows else 1) * ncols
-    acc = np.zeros((min(nrows, nkeys), ncols), dtype=work.dtype)
+    acc = np.zeros((min(nrows, ncols), ncols), dtype=work.dtype)
     lead = np.zeros(acc.shape[0], dtype=work.dtype)
-    acc_key = np.zeros(acc.shape[0], dtype=np.intp)
-    pivot_at = np.full(nkeys, -1, dtype=np.intp)
+    pivot_at = np.full(ncols, -1, dtype=np.intp)
     count = 0
     act = work
-    base = tags * ncols
     wide = act.dtype == np.int64
     idx = np.arange(nrows)
     while act.shape[0]:
@@ -115,19 +99,16 @@ def _echelon(
             act = act[alive]
             leads = leads[alive]
             coef = coef[alive]
-            base = base[alive]
-        keys = base + leads
-        pidx = pivot_at[keys]
+        pidx = pivot_at[leads]
         if pidx.min() < 0:
             fresh = pidx < 0
-            new, order = np.unique(keys[fresh], return_index=True)
+            new, order = np.unique(leads[fresh], return_index=True)
             take = np.flatnonzero(fresh)[order]
             acc[count : count + len(new)] = act[take]
             lead[count : count + len(new)] = coef[take]
-            acc_key[count : count + len(new)] = new
             pivot_at[new] = count + np.arange(len(new))
             count += len(new)
-            pidx = pivot_at[keys]
+            pidx = pivot_at[leads]
         piv = acc[pidx]
         np.subtract(p, coef, out=coef)
         np.multiply(piv, coef[:, None], out=piv)
@@ -139,7 +120,7 @@ def _echelon(
             quot = act // p
             quot *= p
             act -= quot
-    return acc[:count], acc_key[:count] // ncols
+    return acc[:count]
 
 
 def _rank_chain(times_x, n: int, p: int, dtype) -> list[int]:
@@ -153,7 +134,7 @@ def _rank_chain(times_x, n: int, p: int, dtype) -> list[int]:
     ranks = [n]
     basis = np.eye(n, dtype=dtype)
     while True:
-        basis, _ = _echelon(times_x(basis), p)
+        basis = _echelon(times_x(basis), p)
         r = basis.shape[0]
         if r == ranks[-1] and r > 0:
             raise ValueError("matrix is not unipotent: rank of powers stalls above zero")
@@ -192,8 +173,7 @@ def jordan_type_of(M: PrimeFieldMatrix) -> JordanType:
 
     r_m = 2 dim Ker X^m - dim Ker X^{m+1} - dim Ker X^{m-1} with X = M - 1;
     non-unipotent input is detected and rejected. scipy is imported here,
-    not with the package: only the exterior square at p = 2 and the tests
-    take this path.
+    not with the package: no other function of the package needs it.
     """
     import scipy.sparse as sparse
 
@@ -217,77 +197,26 @@ def jordan_type_of(M: PrimeFieldMatrix) -> JordanType:
 def _tensor_block_type(m: int, n: int, p: int) -> JordanType:
     """J_m tensor J_n over GF(p), m <= n, from the first closed form that applies.
 
-    In order: Clebsch-Gordan when m + n - 1 <= p; the scaling rule when p
-    divides m and n, on (m/p, n/p); the free rule when n is a power of p; the
-    reflection fold when q, the least power of p that is >= n, is below
-    m + n, on (q - n, q - m). Pairs none of them covers go to the graded
-    engine. The recursive cases go through this memo, never through the
-    capped public wrapper, and every answer is checked for dimension.
+    In order: Clebsch-Gordan when m + n - 1 <= p; the free rule when n is a
+    power of p; the reflection fold when q, the least power of p that is
+    >= n, is below m + n, on (q - n, q - m); otherwise the two-level rule,
+    whose domain m + n <= q is exactly what is left. No pair is eliminated.
+    The smaller pairs go through this memo, never through the capped public
+    wrapper, and every answer is checked for dimension.
     """
-    _working_dtype(p, 2)  # refuses a too-large p, whichever path answers
+    _working_dtype(p, 2)  # refuses a too-large p, whichever rule answers
     alpha, q = 0, 1
     while q < n:
         alpha, q = alpha + 1, q * p
     if m + n - 1 <= p:
         t = clebsch_gordan(m, n)
-    elif m % p == 0 and n % p == 0:
-        t = gpx_scale(_tensor_block_type(m // p, n // p, p), 1, p)
     elif q == n:
         t = free_rule(m, alpha, p)
     elif q < m + n:
         t = reflect_rule(m, n, p, _tensor_block_type(q - n, q - m, p))
     else:
-        t = _graded_tensor_type(m, n, p)
+        t = two_level_rule(m, n, p, lambda a, b: _tensor_block_type(min(a, b), max(a, b), p))
     return _checked(t, m * n)
-
-
-def _graded_tensor_type(m: int, n: int, p: int) -> JordanType:
-    """J_m tensor J_n from the ranks of the graded pieces of X^k; m <= n.
-
-    On V_m tensor V_n = k[x, y]/(x^m, y^n), X = u tensor u - 1 is
-    multiplication by x + y + xy = x + v with v = y(1 + x). As 1 + x is a
-    unit, the ring is also k[x, v]/(x^m, v^n), graded by total degree, and
-    X^k = (x + v)^k maps R_d = span{x^i v^(d-i)} into R_(d+k) by
-    x^i v^j -> sum_a C(k, a) x^(i+a) v^(j+k-a), truncated. So rank X^k is the
-    sum over d of the ranks of these binomial blocks. A block's columns are
-    the exponents of x in R_(d+k), so it is at most m wide; the rows of
-    every block of every power go through one `_echelon` call, tagged by
-    (k, d), and no m*n-wide row is ever formed.
-    """
-    dtype = _working_dtype(p, 2)  # refuses a too-large p before any arithmetic
-    top = m + n - 2  # highest degree, so X^(top+1) = 0
-    i, j = np.divmod(np.arange(m * n), n)
-    deg = i + j
-    order = np.argsort(deg, kind="stable")
-    i, deg = i[order], deg[order]
-    # X^k can be nonzero only on R_d with d <= top - k: a prefix in degree order
-    per_k = np.searchsorted(deg, top - np.arange(1, top + 1), side="right")
-    k = np.repeat(np.arange(1, top + 1), per_k)
-    src = np.arange(k.size) - np.repeat(np.cumsum(per_k) - per_k, per_k)
-    i, deg = i[src], deg[src]
-    # the exponent of v in the image stays below n while that of x is >= low
-    low = deg + k - (n - 1)
-
-    binom = np.zeros((top + 1, m), dtype=np.int64)
-    binom[0, 0] = 1
-    for r in range(1, top + 1):
-        binom[r] = binom[r - 1]
-        binom[r, 1:] += binom[r - 1, :-1]
-        binom[r] %= p
-    binom = binom.astype(dtype)
-
-    work = np.zeros((k.size, m), dtype=dtype)
-    rows = np.arange(k.size)
-    for a in range(m):
-        col = i + a
-        ok = (col < m) & (col >= low)
-        work[rows[ok], col[ok]] = binom[k[ok], a]
-
-    blocks, tags = np.unique(k * (top + 1) + deg, return_inverse=True)
-    _, pivot_tags = _echelon(work, p, tags)
-    ranks = np.bincount(blocks[pivot_tags] // (top + 1), minlength=top + 2)
-    ranks[0] = m * n
-    return _blocks_from_ranks(ranks.tolist())
 
 
 def tensor_block_type(
@@ -308,13 +237,23 @@ def _square_single(d: int, p: int, alternating: bool) -> JordanType:
 
     For odd p, sort the d parts of V_d tensor V_d as l_1 >= ... >= l_d: S^2 V_d
     has l_1, l_3, ... and the exterior square l_2, l_4, ... (Barry, J. Group
-    Theory 14 (2011); compare Gow-Laffey, J. Group Theory 9 (2006)); an
-    exhaustive test against the explicit squares is the warrant. At p = 2, which
-    sym2_type refuses, the rule fails for every 2 <= d <= 24 (the exterior square
-    of V_2 is V_1, not V_2), so the exterior square is read off its matrix.
+    Theory 14 (2011); compare Gow-Laffey, J. Group Theory 9 (2006)). That split
+    fails at p = 2, which sym2_type refuses (the exterior square of V_2 is V_1,
+    not V_2). There the exterior square folds across the next power of 2: for
+    q = 2^k with q < d <= 2q it is (d - q - 1) V_2q + V_(3q-d) + the exterior
+    square of V_(2q-d), and that of V_0 or V_1 is 0 (compare the same papers).
+    Exhaustive tests against the explicit squares are the warrant for both.
     """
-    if p == 2 and d > 1:
-        return jordan_type_of(exterior_square(jordan_block(d, p)))
+    if p == 2:
+        if d < 2:
+            return JordanType()
+        q = 1
+        while 2 * q < d:
+            q *= 2
+        blocks = {3 * q - d: 1}
+        if d > q + 1:
+            blocks[2 * q] = d - q - 1
+        return JordanType(blocks) + _square_single(2 * q - d, p, alternating)
     parts = sorted((s for s, m in _tensor_block_type(d, d, p) for _ in range(m)), reverse=True)
     return JordanType((s, 1) for s in parts[int(alternating) :: 2])
 
@@ -372,6 +311,6 @@ def sym2_type(
     t: JordanType, p: int, *, max_entries: int = DEFAULT_MAX_ENTRIES
 ) -> JordanType:
     """Jordan type of u on the symmetric square of V; needs p > 2."""
-    if p == 2:
+    if PrimeChar(p) == 2:
         raise ValueError("sym2_type requires p > 2")
     return _square_type(t, p, False, max_entries)

@@ -1,22 +1,25 @@
 """Closed-form identities for Jordan types of tensor products of blocks.
 
-Each function here gives the Jordan type of J_m tensor J_n over GF(p) in
-some restricted regime, without building a matrix. None of them looks up
-another tensor pair: a rule that builds on a smaller pair (`gpx_scale`,
-`reflect_rule`) takes that pair's type as an argument, so this module
-depends on `partitions` alone. `oracle` decides which rule answers each
-pair and supplies the smaller pairs from its memo. The scaling and free
-identities are due to Renaud (J. Algebra 58, 1979) and Glasby-Praeger-Xia
-(J. Algebra 2016). The tests compare every rule against the graded
-elimination engine on its stated domain, and none is applied outside that
-domain.
+Each of the five functions here gives the Jordan type of J_m tensor J_n
+over GF(p) in some restricted regime, without building a matrix. None of
+them decides which pair to look up: a rule that builds on smaller pairs is
+given their types (`gpx_scale` its base, `reflect_rule` its folded pair) or
+a lookup (`two_level_rule`, whose split of m and n decides which pairs it
+needs), so this module depends on `partitions` alone. `oracle` decides which
+rule answers each pair and supplies the smaller pairs from its memo. The
+scaling, free and two-level identities are due to Renaud (J. Algebra 58,
+1979) and Glasby-Praeger-Xia (J. Algebra 2016). The tests compare every
+rule against the graded elimination engine on its stated domain, and none
+is applied outside that domain.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .partitions import JordanType, PrimeChar
 
-__all__ = ["clebsch_gordan", "free_rule", "gpx_scale", "reflect_rule"]
+__all__ = ["clebsch_gordan", "free_rule", "gpx_scale", "reflect_rule", "two_level_rule"]
 
 
 def gpx_scale(base: JordanType, alpha: int, p: int) -> JordanType:
@@ -49,6 +52,57 @@ def reflect_rule(m: int, n: int, p: int, folded: JordanType) -> JordanType:
     if folded.dim != (q - m) * (q - n):
         raise ValueError(f"folded type has dimension {folded.dim}, expected {(q - m) * (q - n)}")
     return JordanType({q: m + n - q}) + folded
+
+
+def two_level_rule(
+    m: int, n: int, p: int, pair: Callable[[int, int], JordanType]
+) -> JordanType:
+    """J_m tensor J_n from Renaud's two-level identity, when m + n <= pq.
+
+    q is the largest power of p below max(m, n), and q >= p is required.
+    pair(a, b) must return the type of J_a tensor J_b; it is asked only for
+    pairs no wider than q. Each size k = aq + c with 1 <= c <= q splits as
+    V_k = W_(a+1) V_c + W_a V_(q-c), where W_x is a block of the top level
+    and V_c one of the bottom level; terms of size 0 drop. Multiplying out,
+    W_x W_y is pair(x, y) and V_c V_d is pair(c, d), which puts a
+    coefficient on each W_A V_C. Read back from the largest A present, a
+    coefficient k on W_A V_C is k blocks of size (A-1)q + C, and when A > 1
+    and C < q those blocks already account for k of W_(A-1) V_(q-C). Raises
+    ValueError outside the domain and AssertionError on a negative
+    coefficient.
+    """
+    p = int(PrimeChar(p))
+    q = 1
+    while q * p < max(m, n):
+        q *= p
+    if q < p or m + n > p * q:
+        raise ValueError(f"two-level rule needs p < max(m, n) and m + n <= pq, got ({m}, {n}) at p = {p}")
+
+    def split(k: int) -> list[tuple[int, int]]:
+        a, c = divmod(k - 1, q)
+        return [(w, v) for w, v in ((a + 1, c + 1), (a, q - c - 1)) if w and v]
+
+    coef: dict[int, dict[int, int]] = {}
+    for x, c in split(m):
+        for y, d in split(n):
+            bottom = pair(c, d)
+            for big, ka in pair(x, y):
+                row = coef.setdefault(big, {})
+                for small, kc in bottom:
+                    row[small] = row.get(small, 0) + ka * kc
+    blocks: dict[int, int] = {}
+    while coef:
+        big = max(coef)
+        for small, k in coef.pop(big).items():
+            if k < 0:
+                raise AssertionError(f"negative coefficient {k} on W_{big} V_{small} for ({m}, {n}) at p = {p}")
+            if k:
+                size = (big - 1) * q + small
+                blocks[size] = blocks.get(size, 0) + k
+                if big > 1 and small < q:
+                    row = coef.setdefault(big - 1, {})
+                    row[q - small] = row.get(q - small, 0) - k
+    return JordanType(blocks)
 
 
 def free_rule(m: int, alpha: int, p: int) -> JordanType:

@@ -124,7 +124,7 @@ class TestDecompose:
         assert p in err
 
     def test_exterior_square_at_characteristic_two(self, capsys):
-        # the one carrier still read off an explicit matrix, with scipy
+        # the exterior square at p = 2 folds across 4: V_7 + the square of V_3
         code, out, _ = run(capsys, "decompose", "--p", "2", "--type", "5", "--rep", "ext2")
         assert code == 0
         assert out == "3, 7\n"
@@ -277,14 +277,15 @@ def fresh_interpreter(code: str) -> str:
 
 
 class TestImportCost:
-    def test_scipy_is_not_loaded_off_the_p2_exterior_square(self):
+    def test_scipy_is_not_loaded_off_jordan_type_of(self):
         code = """
 import sys
 import jordanblocks, jordanblocks.cli
-from jordanblocks import GroupContext, JordanType, build_report
+from jordanblocks import GroupContext, JordanType, build_report, ext2_type
 for kind, blocks in (("SL", {1: 1, 2: 1, 3: 1}), ("Sp", {1: 2, 3: 2}), ("SO", {1: 1, 3: 2})):
     t = JordanType(blocks)
     assert build_report(t, GroupContext(kind, t.dim, 3), verify=True).verified
+assert ext2_type(JordanType({40: 1}), 2, max_entries=780**2).dim == 780
 print("scipy" in sys.modules)
 """
         assert fresh_interpreter(code) == "False\n"

@@ -1,6 +1,7 @@
 """Tests for the matrix-based Jordan type oracle."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -16,7 +17,6 @@ import jordanblocks
 from jordanblocks import (
     JordanType,
     OracleCapError,
-    clebsch_gordan,
     ext2_type,
     jordan_type_of,
     sym2_type,
@@ -36,7 +36,7 @@ from jordanblocks.linalg import (
     symmetric_square,
 )
 
-from helpers import matrix_power, shift_chain_tensor_type
+from helpers import graded_engine, matrix_power, shift_chain_tensor_type, tagged_echelon
 
 PRIMES = [2, 3, 5, 7]
 
@@ -125,7 +125,7 @@ class TestTensorBlockType:
             (m, n)
             for n in range(1, 21)
             for m in range(1, n + 1)
-            if oracle._graded_tensor_type(m, n, p) != shift_chain_tensor_type(m, n, p)
+            if graded_engine(m, n, p) != shift_chain_tensor_type(m, n, p)
         ]
         assert wrong == []
 
@@ -162,16 +162,18 @@ class TestTensorBlockType:
 
     def test_dimension_check_survives_python_O(self):
         # a rank chain that loses a block must still be caught when asserts
-        # are stripped; (4, 4) at p = 3 is covered by no closed form
-        assert dropped_block_is_caught("_blocks_from_ranks", "tensor_block_type(4, 4, 3)", 16)
+        # are stripped; no tensor pair runs one, an explicit matrix does
+        assert dropped_block_is_caught("_blocks_from_ranks", "jordan_type_of(jordan_block(5, 3))", 5)
 
     @pytest.mark.parametrize(
         "rule, call, dim",
         [
             # 2 + 3 - 1 <= 5: the Clebsch-Gordan ladder answers
             ("clebsch_gordan", "tensor_block_type(2, 3, 5)", 6),
-            # 3 and 6 are multiples of 3: the scaling rule answers from (1, 2)
-            ("gpx_scale", "tensor_block_type(3, 6, 3)", 18),
+            # 3 < 6 <= 9 = 3 + 6 leaves no fold: the two-level rule answers,
+            # also where p divides both sizes
+            ("two_level_rule", "tensor_block_type(3, 6, 3)", 18),
+            ("two_level_rule", "tensor_block_type(4, 4, 3)", 16),
             # 4 is a power of 2: the free rule answers
             ("free_rule", "tensor_block_type(3, 4, 2)", 12),
             # 4 < 5 < 3 + 4: the reflection fold answers from (1, 2)
@@ -189,6 +191,7 @@ def dropped_block_is_caught(patched: str, call: str, dim: int) -> bool:
         f"""
         import sys
         from jordanblocks import JordanType, oracle
+        from jordanblocks.linalg import jordan_block
 
         real = oracle.{patched}
 
@@ -221,39 +224,28 @@ def dropped_block_is_caught(patched: str, call: str, dim: int) -> bool:
 
 class TestRouting:
     # answers per path for the pairs below, from a cold memo. Smaller pairs
-    # come first, so the scaled pair and the folded complement are memo hits
-    # and the counts add up to the 2532 pairs; 31 of the Clebsch-Gordan
-    # answers are at p <= 7, and 1157 of the 2112 small-prime pairs eliminate
+    # come first, so the folded and split pairs are memo hits and the counts
+    # add up to the 3700 pairs; 31 of the Clebsch-Gordan answers are at
+    # p <= 7. No pair is eliminated
     FIRED = {
         "clebsch_gordan": 451,
-        "gpx_scale": 222,
-        "free_rule": 83,
-        "reflect_rule": 619,
-        "_graded_tensor_type": 1157,
+        "free_rule": 134,
+        "reflect_rule": 975,
+        "two_level_rule": 2140,
+        "_echelon": 0,
     }
 
     def test_router_matches_the_engine(self, monkeypatch):
-        # every m <= n <= 32 at four primes, and the Clebsch-Gordan regime
+        # every m <= n <= 40 at four primes, and the Clebsch-Gordan regime
         # m <= n <= 20 at two large primes
-        pairs = [(m, n, p) for p in PRIMES for n in range(1, 33) for m in range(1, n + 1)]
+        pairs = [(m, n, p) for p in PRIMES for n in range(1, 41) for m in range(1, n + 1)]
         pairs += [(m, n, p) for p in (10007, 1000003) for n in range(1, 21) for m in range(1, n + 1)]
-        reference = {}
-        real_engine = oracle._graded_tensor_type
-
-        def engine(m, n, p):
-            # a pair the router eliminates is not eliminated a second time
-            if (m, n, p) not in reference:
-                reference[m, n, p] = real_engine(m, n, p)
-            return reference[m, n, p]
-
-        monkeypatch.setattr(oracle, "_graded_tensor_type", engine)
         fired = dict.fromkeys(self.FIRED, 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 answer = fn(*args, **kwargs)
-                if answer is not None:
-                    fired[name] += 1
+                fired[name] += 1
                 return answer
 
             return wrapper
@@ -262,11 +254,37 @@ class TestRouting:
             monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
         oracle._tensor_block_type.cache_clear()
         try:
-            wrong = [(m, n, p) for m, n, p in pairs if oracle._tensor_block_type(m, n, p) != engine(m, n, p)]
+            routed = {(m, n, p): oracle._tensor_block_type(m, n, p) for m, n, p in pairs}
         finally:
             oracle._tensor_block_type.cache_clear()
-        assert wrong == []
         assert fired == self.FIRED
+        assert [pair for pair, t in routed.items() if t != graded_engine(*pair)] == []
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_router_matches_the_engine_on_larger_pairs(self, seed):
+        rng = random.Random(seed)
+        m, n = sorted(rng.randint(41, 64) for _ in range(2))
+        p = rng.choice(PRIMES)
+        assert oracle._tensor_block_type(m, n, p) == graded_engine(m, n, p)
+
+    def test_no_answer_eliminates(self, monkeypatch):
+        # tensor pairs and the exterior squares at p = 2 alike, from a cold memo
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closed-form answer eliminated")
+
+        monkeypatch.setattr(oracle, "_echelon", refuse)
+        oracle._tensor_block_type.cache_clear()
+        oracle._square_single.cache_clear()
+        try:
+            for p in PRIMES:
+                for n in range(1, 41):
+                    for m in range(1, n + 1):
+                        oracle._tensor_block_type(m, n, p)
+            for d in range(1, 41):
+                assert ext2_type(JordanType({d: 1}), 2, max_entries=780**2).dim == d * (d - 1) // 2
+        finally:
+            oracle._tensor_block_type.cache_clear()
+            oracle._square_single.cache_clear()
 
     def test_router_never_calls_the_public_lookup(self, monkeypatch):
         # the scaled and folded pairs come from the memo, never from the
@@ -321,14 +339,15 @@ class TestEchelon:
                 b = rng.integers(0, p, size=(inner, cols))
                 work = a @ b % p
             want, piv = rref(work, p)
-            got, _ = oracle._echelon(work.astype(dtype), p)
+            got = oracle._echelon(work.astype(dtype), p)
             assert got.shape[0] == len(piv)
             assert np.array_equal(rref(got, p)[0], want)
 
     @pytest.mark.parametrize("p", TAGGED_PRIMES)
     @pytest.mark.parametrize("seed", range(3))
     def test_tags_split_the_elimination(self, p, seed):
-        # random rows, some of them rank-deficient products, under random tags
+        # the referee's tagged elimination: random rows, some of them
+        # rank-deficient products, under random tags
         rng = np.random.default_rng(seed)
         cols, ntags = 9, 7
         work = np.vstack([
@@ -337,7 +356,7 @@ class TestEchelon:
             np.zeros((3, cols), dtype=np.int64),
         ])
         tags = rng.integers(0, ntags, size=work.shape[0])
-        got, got_tags = oracle._echelon(work.astype(oracle._working_dtype(p, 2)), p, tags)
+        got, got_tags = tagged_echelon(work.astype(oracle._working_dtype(p, 2)), p, tags)
         counts = np.bincount(got_tags, minlength=ntags)
         for t in range(ntags):
             want, piv = rref(work[tags == t], p)
@@ -345,33 +364,36 @@ class TestEchelon:
             assert np.array_equal(rref(got[got_tags == t], p)[0], want)
 
 
+def routed_cold(m: int, n: int, p: int) -> tuple[JordanType, int]:
+    """J_m (x) J_n from the router with a cold memo, and the tracemalloc peak."""
+    oracle._tensor_block_type.cache_clear()
+    tracemalloc.start()
+    try:
+        got = oracle._tensor_block_type(m, n, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        oracle._tensor_block_type.cache_clear()
+    return got, peak
+
+
 class TestLargePrimes:
     def test_large_prime_pair_stays_small(self):
-        # the engine, which the oracle no longer reaches here: 12 + 12 - 1 <= p,
-        # so the answer is the characteristic-zero ladder
-        tracemalloc.start()
-        try:
-            got = oracle._graded_tensor_type(12, 12, 1000003)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert got == clebsch_gordan(12, 12)
-        assert peak < 5_000_000
+        # q = p: the two-level rule splits both sizes across p
+        m, n, p = 10**6 + 4, 10**6 + 10, 10**6 + 3
+        got, peak = routed_cold(m, n, p)
+        assert got.dim == m * n
+        assert got.block_count == m
+        assert peak < 1_000_000
 
 
 class TestMemory:
-    def test_cold_30x30_pair_stays_small(self):
-        # the engine itself: the oracle reads 30 x 30 at p = 3 off a scaled
-        # 10 x 10. The graded blocks are at most 30 wide; a 900-wide chain is
-        # not needed
-        tracemalloc.start()
-        try:
-            got = oracle._graded_tensor_type(30, 30, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert got.dim == 900
-        assert peak < 16_000_000
+    def test_cold_999x1000_pair_stays_small(self):
+        # no elimination: the rules answer from a handful of smaller pairs
+        got, peak = routed_cold(999, 1000, 3)
+        assert got.dim == 999_000
+        assert got.block_count == 999
+        assert peak < 1_000_000
 
 
 class TestTensorDualType:
@@ -425,12 +447,13 @@ class TestSquareTypes:
                 wrong.append(("sym2", d))
         assert wrong == []
 
-    def test_exterior_square_in_characteristic_two_needs_the_matrix(self):
-        # the alternating split of V_d (x) V_d would be wrong for every d here
+    def test_exterior_square_in_characteristic_two_folds_across_a_power_of_two(self):
+        # the fold against the explicit square, where the alternating split
+        # of V_d (x) V_d would be wrong for every d
         assert ext2_type(JordanType({2: 1}), 2) == JordanType({1: 1})
-        for d in range(2, 25):
+        for d in range(2, 41):
             want = jordan_type_of(exterior_square(jordan_block(d, 2)))
-            assert ext2_type(JordanType({d: 1}), 2, max_entries=(d * d) ** 2) == want
+            assert ext2_type(JordanType({d: 1}), 2, max_entries=(d * d) ** 2) == want, d
             pair = tensor_block_type(d, d, 2, max_entries=(d * d) ** 2)
             parts = sorted((s for s, m in pair for _ in range(m)), reverse=True)
             assert JordanType((s, 1) for s in parts[1::2]) != want, d

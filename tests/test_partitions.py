@@ -136,8 +136,9 @@ class TestPrimeChar:
 
 
 class TestIntegerArguments:
-    # 3.9 would be truncated to 3 and "3" parsed as 3; neither may be
-    @pytest.mark.parametrize("value", [3.0, 3.9, "3"])
+    # 3.9 would be truncated to 3 and "3" parsed as 3; neither may be. 2.0
+    # is refused for its type before sym2_type refuses p = 2 for its value
+    @pytest.mark.parametrize("value", [3.0, 3.9, "3", 2.0])
     @pytest.mark.parametrize("entry", sorted(TAKES_AN_INTEGER))
     def test_floats_and_strings_are_refused(self, entry, value):
         with pytest.raises(TypeError):

@@ -8,7 +8,7 @@ the graded elimination engine (`helpers.graded_engine`), never by
 import pytest
 
 from jordanblocks import JordanType, clebsch_gordan, free_rule
-from jordanblocks.recursions import gpx_scale, reflect_rule
+from jordanblocks.recursions import gpx_scale, reflect_rule, two_level_rule
 
 from helpers import fold_power, graded_engine
 
@@ -81,6 +81,56 @@ class TestReflectRule:
                     assert got == graded_engine(m, n, p), (m, n, p)
                     assert got.dim == m * n
         assert applicable == 69
+
+
+def engine_at(p: int):
+    """The lookup two_level_rule takes, answered by elimination at p."""
+    return lambda a, b: graded_engine(a, b, p)
+
+
+class TestTwoLevelRule:
+    def test_worked_examples(self):
+        # 3 = 0 * 3 + 3 and 6 = 1 * 3 + 3: W_1 V_3 times W_2 V_3, three blocks of 6
+        assert two_level_rule(3, 6, 3, engine_at(3)) == JordanType({6: 3})
+        assert two_level_rule(4, 4, 3, engine_at(3)) == JordanType({1: 1, 3: 1, 5: 1, 7: 1})
+        assert two_level_rule(2, 5, 2, engine_at(2)) == JordanType({4: 1, 6: 1})
+
+    def test_rejects_pairs_outside_its_domain(self):
+        # no power of 3 lies at or above 3 and below 2: Clebsch-Gordan's regime
+        with pytest.raises(ValueError, match="two-level"):
+            two_level_rule(2, 2, 3, engine_at(3))
+        # q = 4 and 5 + 6 > 2 * 4
+        with pytest.raises(ValueError, match="two-level"):
+            two_level_rule(5, 6, 2, engine_at(2))
+
+    def test_a_wrong_lookup_is_caught(self):
+        # the characteristic-zero ladder is not J_a (x) J_b at p = 3
+        with pytest.raises(AssertionError, match="negative coefficient"):
+            two_level_rule(3, 5, 3, clebsch_gordan)
+
+    def test_asks_only_for_pairs_within_one_level(self):
+        asked = []
+
+        def lookup(a, b):
+            asked.append((a, b))
+            return graded_engine(a, b, 3)
+
+        # q = 9: 11 = 9 + 2 and 13 = 9 + 4
+        assert two_level_rule(11, 13, 3, lookup) == graded_engine(11, 13, 3)
+        assert asked and max(max(pair) for pair in asked) <= 9
+
+    def test_sweep_agrees_with_the_engine(self):
+        applicable = 0
+        for p in PRIMES:
+            for m in range(1, 17):
+                for n in range(1, 17):
+                    try:
+                        got = two_level_rule(m, n, p, engine_at(p))
+                    except ValueError:
+                        continue
+                    applicable += 1
+                    assert got == graded_engine(m, n, p), (m, n, p)
+        assert applicable == 460
 
 
 class TestFreeRule:
