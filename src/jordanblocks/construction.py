@@ -5,10 +5,11 @@ the contragredient action. `build_adjoint_action` restricts u tensor dual(u)
 to the kernel of the evaluation form (modulo the invariant line when p
 divides dim V) as one explicit matrix, the tests' whole-module referee.
 
-The SL verify route builds no matrix: it reads the same module's Jordan
-type summand by summand, each piece V_r tensor V_s^* from a rank chain whose
+The SL verify route builds no matrix: it sums the same module's ranks
+summand by summand, each piece V_r tensor V_s^* from a rank chain whose
 product is a shift-add and an alternating prefix sum on rows reshaped to
-(r, s), and the diagonal part from two invariants per block size.
+(r, s), corrects the diagonal part by two invariants per block size, and
+reads the blocks off the sum once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import PrimeFieldMatrix, block_diagonal, dual_action, jordan_block, kronecker
-from .oracle import _add_copies, _blocks_from_ranks, _checked, _echelon, _rank_chain, _working_dtype
+from .oracle import _blocks_from_ranks, _checked, _echelon, _rank_chain, _working_dtype
 from .partitions import JordanType, PrimeChar
 
 __all__ = ["build_adjoint_action"]
@@ -90,12 +91,10 @@ def _times_x(rows: np.ndarray, r: int, s: int, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _piece_type(r: int, s: int, p: int) -> JordanType:
-    """Jordan type of u on V_r tensor V_s^*, r <= s, by a shift-product rank chain."""
-    ranks = _rank_chain(
-        lambda rows: _times_x(rows, r, s, p), r * s, p, _working_dtype(p, 2)
-    )
-    return _checked(_blocks_from_ranks(ranks), r * s)
+def _piece_ranks(r: int, s: int, p: int) -> tuple[int, ...]:
+    """Ranks of X^0, X^1, ... down to 0 on V_r tensor V_s^*, r <= s, by a
+    shift-product rank chain."""
+    return tuple(_rank_chain(lambda rows: _times_x(rows, r, s, p), r * s, p, _working_dtype(p, 2)))
 
 
 @lru_cache(maxsize=None)
@@ -139,26 +138,26 @@ def _diagonal_invariants(d: int, p: int) -> tuple[int, int]:
 
 
 def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
-    """Jordan type of u on the adjoint module, summand by summand, with no
+    """Jordan type of u on the adjoint module L, summand by summand, with no
     matrix larger than (max d)^2 square.
 
-    With V the sum of blocks V_a, V tensor V* is the sum of the u-invariant
-    pieces V_a tensor V_b^*. The evaluation form eps vanishes on every piece
-    with a != b and the identity I lies in D, the sum of the a = b pieces,
-    so the adjoint module is the sum of the a != b pieces plus
-    (ker eps on D) / <I>, the quotient taken when p | n. Each piece's type
-    is read off its own shift-product rank chain, memoized by its sizes.
+    V tensor V* is the sum of the u-invariant pieces V_a tensor V_b^* over
+    ordered pairs of blocks, so its ranks of X^k are sums of the pieces'
+    ranks, each from its own shift-product rank chain, memoized by sizes.
+    L is ker eps, eps the evaluation form, taken mod the identity I when
+    p | n. eps vanishes on every piece with a != b, and I lies in the sum of
+    the a = b pieces, so only that diagonal part needs a correction. eps
+    kills im X, so X^k loses rank 1 on ker eps unless eps is nonzero on
+    ker X^k; the trace pairing is u-invariant, so that happens exactly when
+    some I_d is outside im X^k: k > h, h = min h_d, with h_d and c_d from
+    `_diagonal_invariants`. When p | n, I lies in X^k (ker eps) when k <= h
+    and eps(w) = 0 for the w with w X^k = I; eps kills im X, so only the
+    sizes with h_d = k contribute, m_d c_d each. Hence
 
-    D is never built. Let R_k = sum over sizes d of m_d rank(X^k on
-    V_d tensor V_d^*), from the (d, d) pieces. eps kills im X, so X^k has
-    rank R_k - 1 + f_k on ker eps, with f_k = 1 when eps is nonzero on
-    ker X^k. The trace pairing is u-invariant, so that happens exactly when
-    some I_d is outside im X^k: f_k = [k > h], h = min h_d, with h_d and c_d
-    from `_diagonal_invariants`. When p | n, I lies in X^k (ker eps) when
-    k <= h and eps(w) = 0 for the w with w X^k = I; eps kills im X, so only
-    the sizes with h_d = k contribute, m_d c_d each. Hence
+        rank X^k on L = sum over (a, b) of rank X^k on V_a tensor V_b^*
+            - [k <= h] (1 + [p | n] [sum_{h_d = k} m_d c_d = 0 mod p]),
 
-        rank = R_k - [k <= h] (1 + [p | n] [sum_{h_d = k} m_d c_d = 0 mod p]).
+    and the blocks are read off this rank sequence once.
 
     This is a second derivation, not a copy of a rule: h_d and c_d are
     counted by elimination, and no rule, no tensor-pair engine and no
@@ -169,24 +168,18 @@ def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
     """
     n = _require_adjoint_input(t, p)
     p = int(p)
-    acc: dict[int, int] = {}
+    # blocks of V_r tensor V_s^* are shorter than r + s, so ranks ends in 0
+    ranks = [0] * (2 * t.max_size)
     blocks = list(t)
     for i, (d1, m1) in enumerate(blocks):
         for d2, m2 in blocks[i:]:
             # V_s tensor V_r^* is the dual module of V_r tensor V_s^*, and
             # u^-T has the Jordan type of u, so one piece serves both orders.
-            copies = m1 * (m1 - 1) if d1 == d2 else 2 * m1 * m2
-            if copies:
-                _add_copies(acc, _piece_type(d1, d2, p), copies)
-    # blocks of V_d tensor V_d^* are shorter than 2d, so ranks ends in 0
-    ranks = [0] * (2 * max(d for d, _ in t))
-    for d, m in t:
-        for size, mult in _piece_type(d, d, p):
-            for k in range(size):
-                ranks[k] += m * mult * (size - k)
+            copies = m1 * m1 if d1 == d2 else 2 * m1 * m2
+            for k, rank in enumerate(_piece_ranks(d1, d2, p)):
+                ranks[k] += copies * rank
     invariants = {d: _diagonal_invariants(d, p) for d, _ in t}
     for k in range(min(h for h, _ in invariants.values()) + 1):
         top = sum(m * invariants[d][1] for d, m in t if invariants[d][0] == k)
         ranks[k] -= 1 + (n % p == 0 and top % p == 0)
-    _add_copies(acc, _blocks_from_ranks(ranks), 1)
-    return _checked(JordanType(acc), n * n - 1 - (n % p == 0))
+    return _checked(_blocks_from_ranks(ranks), n * n - 1 - (n % p == 0))

@@ -1,7 +1,8 @@
 """Exact dense linear algebra over GF(p): the explicit matrices.
 
 Entries are numpy int64 reduced into [0, p) after every operation; no floating
-point anywhere. Matrices act on coordinate row vectors from the right, so row
+point anywhere, and a prime too large for int64 to hold a product's sums is
+refused instead of overflowing. Matrices act on coordinate row vectors from the right, so row
 i of a matrix holds the image of the i-th basis vector. Jordan blocks, direct
 sums, the dual action, Kronecker products and the two squares build the
 explicit modules; `rref` inverts for the dual action and is the tests'
@@ -17,18 +18,33 @@ import numpy as np
 from .partitions import PrimeChar
 
 
+def _require_int64(terms: int, p: int) -> None:
+    """Refuse p when a sum of terms products of entries below p, plus p,
+    would overflow int64."""
+    if terms * (p - 1) * (p - 1) + p > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"p = {p} is too large: a sum of {terms} products mod p would overflow int64"
+        )
+
+
 def _inv_scalar(a: int, p: int) -> int:
     """Inverse in GF(p) via Fermat."""
     return pow(int(a), p - 2, p)
 
 
 class PrimeFieldMatrix:
-    """Dense matrix over GF(p) with exact integer arithmetic."""
+    """Dense matrix over GF(p) with exact integer arithmetic.
+
+    p must leave room in int64 for a sum of two products of entries, as the
+    squares, rref and the adjoint construction form; `@` checks its own
+    sum length.
+    """
 
     __slots__ = ("array", "p")
 
     def __init__(self, entries, p: int):
         p = int(PrimeChar(p))
+        _require_int64(2, p)
         arr = np.asarray(entries, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
@@ -56,6 +72,7 @@ class PrimeFieldMatrix:
         self._require_same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.array.shape} @ {other.array.shape}")
+        _require_int64(self.cols, self.p)
         return PrimeFieldMatrix(self.array @ other.array, self.p)
 
     def transpose(self) -> "PrimeFieldMatrix":

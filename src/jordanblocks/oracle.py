@@ -16,7 +16,9 @@ Ranks are counted only for an explicit matrix (`jordan_type_of`) and for
 prime, p = 2 included: a row basis of the row space of X^k, X = u - 1, is
 carried along, multiplied by X and echelonized once per step. All
 arithmetic is integer, in the narrowest dtype (int8 to int64) that holds
-the elimination's bound at p; a prime too large for int64 is refused.
+the elimination's bound at p; a prime too large for int64 is refused. The
+closed forms need no such bound: they answer at every prime `PrimeChar`
+accepts.
 """
 
 from __future__ import annotations
@@ -204,7 +206,6 @@ def _tensor_block_type(m: int, n: int, p: int) -> JordanType:
     The smaller pairs go through this memo, never through the capped public
     wrapper, and every answer is checked for dimension.
     """
-    _working_dtype(p, 2)  # refuses a too-large p, whichever rule answers
     alpha, q = 0, 1
     while q < n:
         alpha, q = alpha + 1, q * p

@@ -9,11 +9,15 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12: the least strong pseudoprime to all twelve bases above (composite)
+_MR_EXACT_BELOW = 318665857834031151167461
 
 
 @lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every machine-word integer.
+    """Deterministic Miller-Rabin; exact for every n < _MR_EXACT_BELOW,
+    which covers every 64-bit integer. The bound itself, a composite, is
+    the first integer it misjudges, so `PrimeChar` refuses from there on.
 
     Memoized: every oracle call, cache hits included, re-checks its prime.
     """
@@ -42,13 +46,19 @@ def _is_prime(n: int) -> bool:
 
 class PrimeChar(int):
     """A prime characteristic, checked at construction: an integer (numpy
-    integers too, never a float or a string) that is prime."""
+    integers too, never a float or a string) that is prime, and below the
+    bound under which primality is decided exactly."""
 
     def __new__(cls, p: int) -> "PrimeChar":
         try:
             p = operator.index(p)
         except TypeError:
             raise TypeError(f"characteristic must be an integer, got {type(p).__name__}") from None
+        if p >= _MR_EXACT_BELOW:
+            raise ValueError(
+                f"characteristic {p} is too large: primality is decided only below "
+                f"{_MR_EXACT_BELOW}"
+            )
         if not _is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         return super().__new__(cls, p)

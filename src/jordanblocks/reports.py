@@ -65,13 +65,11 @@ class DecompositionReport:
 def _verify(report: DecompositionReport, max_entries: int) -> bool:
     """Recompute the irreducible type by an independent route.
 
-    SL: `construction._split_adjoint_type` reads the adjoint module's type
-    summand by summand by elimination, with no rule, no tensor-pair engine
-    and no matrix of more than (max d)^2 rows: each piece V_r tensor V_s^*
-    from its own memoized rank chain, and the diagonal part, restricted to
-    the evaluation form's kernel and taken mod the identity when p | n, from
-    the (d, d) pieces and two invariants per block size d. Those invariants
-    are a second derivation by elimination, not a copy of a rule. Sp/SO:
+    SL: `construction._split_adjoint_type` sums the memoized rank chains of
+    the pieces V_r tensor V_s^* by elimination, corrects the diagonal once
+    by two invariants per block size, and reads the blocks off the result;
+    its docstring states that rank identity. It uses no rule, no tensor-pair
+    engine and no matrix of more than (max d)^2 rows. Sp/SO:
     check the complementary-square identity, i.e. that the irreducible type
     plus the other square equals the SL result on V tensor V*.
     """

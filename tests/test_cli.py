@@ -100,10 +100,20 @@ class TestDecompose:
         assert code == 3
         assert "prime" in err
 
-    def test_prime_too_large_for_int64_is_refused(self, capsys):
-        # the first prime above 2^31 - 1; 2(p-1)^2 + p no longer fits in int64
-        code, _, err = run(capsys, "decompose", "--p", "2147483659", "--type", "2")
+    def test_prime_too_large_for_int64_is_answered_by_closed_forms(self, capsys):
+        # the first prime above 2^31 - 1: Clebsch-Gordan and case (i) answer
+        # with no elimination, so int64 sets no bound
+        code, out, _ = run(capsys, "decompose", "--p", "2147483659", "--type", "2")
+        assert code == 0
+        assert out == "3\n"
+
+    def test_prime_too_large_for_int64_is_refused_by_verify(self, capsys):
+        # 2(p-1)^2 + p no longer fits in int64, so the verify elimination refuses it
+        code, out, err = run(
+            capsys, "decompose", "--p", "2147483659", "--type", "2", "--verify"
+        )
         assert code == 3
+        assert out == ""
         assert "error:" in err
         assert "2147483659" in err
 

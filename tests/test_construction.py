@@ -195,7 +195,7 @@ class TestBuildAdjointAction:
 
 def verify_peak(t: JordanType, p: int) -> tuple[bool, int]:
     """build_report(verify=True) from cold caches: (verified, tracemalloc peak)."""
-    for memo in (construction._piece_type, construction._diagonal_invariants, oracle._tensor_block_type):
+    for memo in (construction._piece_ranks, construction._diagonal_invariants, oracle._tensor_block_type):
         memo.cache_clear()
     tracemalloc.start()
     try:
@@ -230,7 +230,7 @@ class TestSplitRoute:
             dual = dual_action(jordan_block(s, p))
             for r in range(1, s + 1):
                 want = jordan_type_of(kronecker(jordan_block(r, p), dual))
-                assert construction._piece_type(r, s, p) == want, (r, s)
+                assert oracle._blocks_from_ranks(construction._piece_ranks(r, s, p)) == want, (r, s)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_diagonal_invariants_follow_the_delta_ladder(self, p):

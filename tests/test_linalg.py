@@ -56,6 +56,20 @@ class TestPrimeFieldMatrix:
         with pytest.raises(ValueError):
             A @ B
 
+    def test_sums_past_int64_are_refused(self):
+        # each of these once wrapped around int64 and returned a wrong entry
+        # (2147483646, 2147483418 and 290948287 in place of 3, 1 and 1)
+        p = 2**31 - 1
+        A = PrimeFieldMatrix(np.full((3, 3), p - 1), p)
+        with pytest.raises(ValueError, match=str(p)):
+            A @ A
+        p = 2147483659
+        with pytest.raises(ValueError, match=str(p)):
+            symmetric_square(PrimeFieldMatrix([[p - 1, p - 1], [p - 1, p - 1]], p))
+        p = 3037000507
+        with pytest.raises(ValueError, match=str(p)):
+            kronecker(PrimeFieldMatrix([[p - 1]], p), PrimeFieldMatrix([[p - 1]], p))
+
 
 class TestJordanBlock:
     def test_size_two_literal(self):

@@ -268,11 +268,13 @@ class TestRouting:
         assert oracle._tensor_block_type(m, n, p) == graded_engine(m, n, p)
 
     def test_no_answer_eliminates(self, monkeypatch):
-        # tensor pairs and the exterior squares at p = 2 alike, from a cold memo
+        # tensor pairs and the exterior squares at p = 2 alike, from a cold
+        # memo, neither eliminate nor ask for an elimination width
         def refuse(*args, **kwargs):
             raise AssertionError("a closed-form answer eliminated")
 
         monkeypatch.setattr(oracle, "_echelon", refuse)
+        monkeypatch.setattr(oracle, "_working_dtype", refuse)
         oracle._tensor_block_type.cache_clear()
         oracle._square_single.cache_clear()
         try:

@@ -134,6 +134,14 @@ class TestPrimeChar:
         with pytest.raises(ValueError):
             PrimeChar(p)
 
+    def test_primality_is_decided_only_where_it_is_exact(self):
+        # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin at all
+        # twelve bases 2..37; every 64-bit integer lies below it
+        psi12 = 318665857834031151167461
+        with pytest.raises(ValueError, match=f"{psi12}.*{psi12}"):
+            PrimeChar(psi12)
+        assert PrimeChar(18446744073709551557) == 2**64 - 59
+
 
 class TestIntegerArguments:
     # 3.9 would be truncated to 3 and "3" parsed as 3; neither may be. 2.0
