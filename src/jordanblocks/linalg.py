@@ -2,11 +2,11 @@
 
 Entries are numpy int64 reduced into [0, p) after every operation; no floating
 point anywhere, and a prime too large for int64 to hold a product's sums is
-refused instead of overflowing. Matrices act on coordinate row vectors from the right, so row
-i of a matrix holds the image of the i-th basis vector. Jordan blocks, direct
-sums, the dual action, Kronecker products and the two squares build the
-explicit modules; `rref` inverts for the dual action and is the tests'
-independent check on the oracle's elimination.
+refused instead of overflowing. Matrices act on coordinate row vectors from
+the right, so row i of a matrix holds the image of the i-th basis vector.
+Jordan blocks, direct sums, the dual action, Kronecker products and the two
+squares build the explicit modules; `rref` inverts for the dual action and
+is the tests' independent check on the oracle's elimination.
 """
 
 from __future__ import annotations
@@ -33,12 +33,8 @@ def _inv_scalar(a: int, p: int) -> int:
 
 
 class PrimeFieldMatrix:
-    """Dense matrix over GF(p) with exact integer arithmetic.
-
-    p must leave room in int64 for a sum of two products of entries, as the
-    squares, rref and the adjoint construction form; `@` checks its own
-    sum length.
-    """
+    """Dense matrix over GF(p) with exact integer arithmetic. int64 must hold
+    the sum of two products the squares and rref form; `@` checks its own."""
 
     __slots__ = ("array", "p")
 
