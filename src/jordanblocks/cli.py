@@ -13,7 +13,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .oracle import _working_dtype, ext2_type, sym2_type, tensor_dual_type
+from .linalg import _working_dtype
+from .oracle import ext2_type, sym2_type, tensor_dual_type
 from .partitions import JordanType, parse_jordan_type, partitions_of
 from .reports import build_report
 from .rules import GroupContext, validate_classical
@@ -66,6 +67,11 @@ def _load_fixture(path: str | None) -> list[FixtureRow]:
 def cmd_decompose(args: argparse.Namespace) -> int:
     t = parse_jordan_type(args.type)
     ctx = GroupContext(_GROUPS[args.group], t.dim, args.p)
+    if args.verify and ctx.kind == "SL":
+        try:  # the SL verify route eliminates; the answer itself does not
+            _working_dtype(ctx.p, 2)
+        except ValueError as exc:
+            raise ValueError(f"{exc}; drop --verify to get the answer without the check") from None
     report = build_report(t, ctx, verify=args.verify)
     if args.json:
         print(json.dumps(report.to_json_dict()))
@@ -176,7 +182,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "decompose" and args.json and args.rep != "irr":
+        parser.error("--json prints the whole report, which has no --rep other than irr")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -18,8 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import PrimeFieldMatrix, block_diagonal, dual_action, jordan_block, kronecker
-from .oracle import _blocks_from_ranks, _checked, _echelon, _rank_chain, _working_dtype
+from .linalg import (
+    PrimeFieldMatrix, _working_dtype, block_diagonal, dual_action, jordan_block, kronecker
+)
+from .oracle import _blocks_from_ranks, _checked, _echelon, _rank_chain
 from .partitions import JordanType, PrimeChar
 
 __all__ = ["build_adjoint_action"]

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over GF(p): the explicit matrices.
 
 Entries are numpy int64 reduced into [0, p) after every operation; no floating
-point anywhere, and a prime too large for int64 to hold a product's sums is
-refused instead of overflowing. Matrices act on coordinate row vectors from
-the right, so row i of a matrix holds the image of the i-th basis vector.
+point anywhere. `_working_dtype` owns the package's one overflow bound: it
+picks the narrowest dtype for a sum of products mod p and refuses a prime
+too large for int64. Matrices act on coordinate row vectors from the right,
+so row i of a matrix holds the image of the i-th basis vector.
 Jordan blocks, direct sums, the dual action, Kronecker products and the two
 squares build the explicit modules; `rref` inverts for the dual action and
 is the tests' independent check on the oracle's elimination.
@@ -18,13 +19,18 @@ import numpy as np
 from .partitions import PrimeChar
 
 
-def _require_int64(terms: int, p: int) -> None:
-    """Refuse p when a sum of terms products of entries below p, plus p,
-    would overflow int64."""
-    if terms * (p - 1) * (p - 1) + p > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"p = {p} is too large: a sum of {terms} products mod p would overflow int64"
-        )
+def _working_dtype(p: int, terms: int):
+    """Narrowest dtype, int8 to int64, holding max(terms, 2) * (p-1)^2 + p.
+
+    That bounds every sum over GF(p) here: a product sums terms products of
+    entries below p, the squares and an elimination step two, and partial
+    sums stay non-negative. A prime whose bound int64 cannot hold is refused.
+    """
+    terms = max(terms, 2)
+    for dt in (np.int8, np.int16, np.int32, np.int64):
+        if terms * (p - 1) * (p - 1) + p <= np.iinfo(dt).max:
+            return dt
+    raise ValueError(f"p = {p} is too large: a sum of {terms} products mod p would overflow int64")
 
 
 def _inv_scalar(a: int, p: int) -> int:
@@ -40,7 +46,7 @@ class PrimeFieldMatrix:
 
     def __init__(self, entries, p: int):
         p = int(PrimeChar(p))
-        _require_int64(2, p)
+        _working_dtype(p, 2)
         arr = np.asarray(entries, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
@@ -68,7 +74,7 @@ class PrimeFieldMatrix:
         self._require_same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.array.shape} @ {other.array.shape}")
-        _require_int64(self.cols, self.p)
+        _working_dtype(self.p, self.cols)
         return PrimeFieldMatrix(self.array @ other.array, self.p)
 
     def transpose(self) -> "PrimeFieldMatrix":

@@ -98,6 +98,22 @@ def validate_classical(t: JordanType, ctx: GroupContext) -> Verdict:
     return Verdict(True, None)
 
 
+def _case(t: JordanType, p: int) -> tuple[str, list[tuple[int, int]]]:
+    """The adjustment case for t over GF(p) and its (size, change) block
+    changes to the carrier, with q = p^alpha and alpha computed once."""
+    n = t.dim
+    if n % p:
+        return "i", [(1, -1)]
+    q = p ** alpha_of(t, p)
+    if q == 1:
+        return "ii", [(1, -2)]
+    if (n // q) % p == 0:
+        return "iii-a", [(q, -2), (q - 1, 2)]
+    if q > 2:
+        return "iii-b", [(q, -1), (q - 2, 1)]
+    return "iii-c", [(2, -1)]
+
+
 def rule_case(t: JordanType, p: int) -> str:
     """Which of the five adjustment cases fires for input type t over GF(p).
 
@@ -106,53 +122,26 @@ def rule_case(t: JordanType, p: int) -> str:
     sub-case depends on whether p still divides n / p^alpha and on whether
     p^alpha exceeds 2.
     """
-    p = int(PrimeChar(p))
-    n = t.dim
-    if n % p:
-        return "i"
-    alpha = alpha_of(t, p)
-    if alpha == 0:
-        return "ii"
-    q = p**alpha
-    if (n // q) % p == 0:
-        return "iii-a"
-    return "iii-b" if q > 2 else "iii-c"
+    return _case(t, int(PrimeChar(p)))[0]
 
 
-def _adjust(blocks: dict[int, int], size: int, change: int) -> None:
-    have = blocks.get(size, 0) + change
-    if have < 0:
-        raise ValueError(
-            f"cannot remove {-change} block(s) of size {size}: "
-            f"only {blocks.get(size, 0)} present"
-        )
-    if have:
-        blocks[size] = have
-    else:
-        blocks.pop(size, None)
-
-
-def _apply_case(carrier: JordanType, case: str, q: int) -> JordanType:
+def _rule(carrier: JordanType, t: JordanType, ctx: GroupContext, kind: str) -> JordanType:
+    """The irreducible type from the carrier type of t, for every kind alike:
+    check the context and t, then make the case's block changes."""
+    if ctx.kind != kind:
+        raise ValueError(f"the {kind} rule needs an {kind} context, got {ctx.kind}")
+    verdict = validate_classical(t, ctx)
+    if not verdict.ok:
+        raise ValueError(f"invalid {kind} type: {verdict.reason}")
     blocks = carrier.blocks
-    if case == "i":
-        _adjust(blocks, 1, -1)
-    elif case == "ii":
-        _adjust(blocks, 1, -2)
-    elif case == "iii-a":
-        _adjust(blocks, q, -2)
-        _adjust(blocks, q - 1, +2)
-    elif case == "iii-b":
-        _adjust(blocks, q, -1)
-        _adjust(blocks, q - 2, +1)
-    else:
-        _adjust(blocks, 2, -1)
-    return JordanType(blocks)
-
-
-def _rule(carrier: JordanType, t: JordanType, p: int) -> JordanType:
-    case = rule_case(t, p)
-    q = p ** alpha_of(t, p) if case.startswith("iii") else 0
-    return _apply_case(carrier, case, q)
+    for size, change in _case(t, ctx.p)[1]:
+        have = blocks.get(size, 0)
+        if have + change < 0:
+            raise ValueError(
+                f"cannot remove {-change} block(s) of size {size}: only {have} present"
+            )
+        blocks[size] = have + change
+    return JordanType((size, mult) for size, mult in blocks.items() if mult)
 
 
 def adjoint_rule(carrier: JordanType, t: JordanType, ctx: GroupContext) -> JordanType:
@@ -162,11 +151,7 @@ def adjoint_rule(carrier: JordanType, t: JordanType, ctx: GroupContext) -> Jorda
     t; the result drops to dimension n^2 - 1 or n^2 - 2 according to
     whether p divides n.
     """
-    if ctx.kind != "SL":
-        raise ValueError(f"adjoint_rule needs an SL context, got {ctx.kind}")
-    if t.dim != ctx.n:
-        raise ValueError(f"type has dimension {t.dim}, context needs {ctx.n}")
-    return _rule(carrier, t, ctx.p)
+    return _rule(carrier, t, ctx, "SL")
 
 
 def sp_w2_rule(carrier: JordanType, t: JordanType, ctx: GroupContext) -> JordanType:
@@ -175,12 +160,7 @@ def sp_w2_rule(carrier: JordanType, t: JordanType, ctx: GroupContext) -> JordanT
     Same five-way adjustment as the SL case, with n and alpha still read
     from the natural module; carrier must be the exterior-square type of t.
     """
-    if ctx.kind != "Sp":
-        raise ValueError(f"sp_w2_rule needs an Sp context, got {ctx.kind}")
-    verdict = validate_classical(t, ctx)
-    if not verdict.ok:
-        raise ValueError(f"invalid symplectic type: {verdict.reason}")
-    return _rule(carrier, t, ctx.p)
+    return _rule(carrier, t, ctx, "Sp")
 
 
 def so_2w1_rule(carrier: JordanType, t: JordanType, ctx: GroupContext) -> JordanType:
@@ -189,10 +169,4 @@ def so_2w1_rule(carrier: JordanType, t: JordanType, ctx: GroupContext) -> Jordan
     Mirror of the symplectic case with the symmetric square as carrier and
     the orthogonal multiplicity constraint on t.
     """
-    if ctx.kind != "SO":
-        raise ValueError(f"so_2w1_rule needs an SO context, got {ctx.kind}")
-    verdict = validate_classical(t, ctx)
-    if not verdict.ok:
-        raise ValueError(f"invalid orthogonal type: {verdict.reason}")
-    return _rule(carrier, t, ctx.p)
-
+    return _rule(carrier, t, ctx, "SO")

@@ -19,7 +19,7 @@ import random
 import numpy as np
 import scipy.sparse as sparse
 
-from jordanblocks import JordanType, oracle
+from jordanblocks import JordanType, linalg, oracle
 from jordanblocks.linalg import block_diagonal, dual_action, jordan_block, kronecker
 from jordanblocks.partitions import alpha_of
 
@@ -88,7 +88,6 @@ def tagged_echelon(work: np.ndarray, p: int, tags: np.ndarray) -> tuple[np.ndarr
     count = 0
     act = work
     base = tags * ncols
-    wide = act.dtype == np.int64
     idx = np.arange(nrows)
     while act.shape[0]:
         leads = np.argmax(act != 0, axis=1)
@@ -119,12 +118,9 @@ def tagged_echelon(work: np.ndarray, p: int, tags: np.ndarray) -> tuple[np.ndarr
         np.multiply(piv, coef[:, None], out=piv)
         np.multiply(act, lead[pidx][:, None], out=act)
         np.add(act, piv, out=act)
-        if wide:
-            np.mod(act, p, out=act)
-        else:
-            quot = act // p
-            quot *= p
-            act -= quot
+        quot = act // p
+        quot *= p
+        act -= quot
     return acc[:count], acc_key[:count] // ncols
 
 
@@ -143,7 +139,7 @@ def graded_engine(m: int, n: int, p: int) -> JordanType:
     tagged by (k, d), and no m*n-wide row is ever formed.
     """
     m, n = min(m, n), max(m, n)
-    dtype = oracle._working_dtype(p, 2)  # refuses a too-large p before any arithmetic
+    dtype = linalg._working_dtype(p, 2)  # refuses a too-large p before any arithmetic
     top = m + n - 2  # highest degree, so X^(top+1) = 0
     i, j = np.divmod(np.arange(m * n), n)
     deg = i + j
@@ -206,7 +202,7 @@ def shift_chain_tensor_type(m: int, n: int, p: int) -> JordanType:
         return out.reshape(-1, m * n)
 
     # each product entry sums at most three shifted entries
-    ranks = oracle._rank_chain(times_x, m * n, p, oracle._working_dtype(p, 3))
+    ranks = oracle._rank_chain(times_x, m * n, p, linalg._working_dtype(p, 3))
     return oracle._blocks_from_ranks(ranks)
 
 

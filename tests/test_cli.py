@@ -67,6 +67,16 @@ class TestDecompose:
         assert rebuilt == JordanType({1: 2, 3: 1})
         assert JordanType(dict(record["carrier"])).dim == 6
 
+    def test_json_refuses_another_rep(self, capsys):
+        # the JSON report holds the carrier and the irreducible type only, so
+        # --rep ext2 would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--p", "3", "--type", "2^2", "--rep", "ext2", "--json"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--json" in err and "--rep" in err
+
     def test_json_with_verify_sets_the_flag(self, capsys):
         code, out, _ = run(
             capsys, "decompose", "--p", "2", "--type", "2, 3", "--json", "--verify"
@@ -116,6 +126,7 @@ class TestDecompose:
         assert out == ""
         assert "error:" in err
         assert "2147483659" in err
+        assert "--verify" in err  # the refusal names the fix: run without it
 
     def test_largest_prime_int64_holds_is_accepted(self, capsys):
         code, out, _ = run(
@@ -313,6 +324,38 @@ assert reflect_rule(3, 4, 5, tensor_block_type(1, 2, 5)) == tensor_block_type(3,
 print("scipy" in sys.modules)
 """
         assert fresh_interpreter(code) == "False\n"
+
+
+class TestTracedSpans:
+    RECORDED = (
+        "rules.adjoint_rule", "rules.sp_w2_rule", "rules.so_2w1_rule", "rules.rule_case",
+        "rules.validate_classical", "oracle.tensor_dual_type", "oracle.ext2_type",
+        "oracle.sym2_type",
+    )
+
+    def test_the_benchmark_tracer_sees_every_rule_and_carrier(self):
+        # bench/spans.py traces a function by swapping the module attributes
+        # that bind it, so a rule or carrier reached any other way records no
+        # call and drops out of the per-layer metrics
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        code = f"""
+import sys
+sys.path.insert(0, {str(bench)!r})
+import jordanblocks.cli
+from jordanblocks import reports
+from jordanblocks.partitions import JordanType
+from jordanblocks.rules import GroupContext
+from spans import Tracer
+tracer = Tracer()
+tracer.install()
+for kind, blocks in (("SL", {{1: 1, 3: 1}}), ("Sp", {{2: 2}}), ("SO", {{1: 2, 3: 1}})):
+    t = JordanType(blocks)
+    reports.build_report(t, GroupContext(kind, t.dim, 3))
+calls = tracer.summary()["calls"]
+print(" ".join(str(calls[name]) for name in {self.RECORDED!r}))
+"""
+        counts = dict(zip(self.RECORDED, map(int, fresh_interpreter(code).split())))
+        assert [name for name, count in counts.items() if count < 1] == []
 
 
 class TestArgumentHandling:

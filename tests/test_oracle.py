@@ -23,7 +23,7 @@ from jordanblocks import (
     tensor_block_type,
     tensor_dual_type,
 )
-from jordanblocks import oracle
+from jordanblocks import linalg, oracle
 from jordanblocks.linalg import (
     PrimeFieldMatrix,
     block_diagonal,
@@ -274,6 +274,8 @@ class TestRouting:
             raise AssertionError("a closed-form answer eliminated")
 
         monkeypatch.setattr(oracle, "_echelon", refuse)
+        # the bound's owner, which every matrix asks, and the oracle's import of it
+        monkeypatch.setattr(linalg, "_working_dtype", refuse)
         monkeypatch.setattr(oracle, "_working_dtype", refuse)
         oracle._tensor_block_type.cache_clear()
         oracle._square_single.cache_clear()
@@ -318,12 +320,12 @@ class TestWorkingDtype:
         ],
     )
     def test_narrowest_dtype_holding_the_bound(self, p, two_terms, three_terms):
-        assert oracle._working_dtype(p, 2) is two_terms
-        assert oracle._working_dtype(p, 3) is three_terms
+        assert linalg._working_dtype(p, 2) is two_terms
+        assert linalg._working_dtype(p, 3) is three_terms
 
     def test_refuses_a_prime_too_large_for_int64(self):
         with pytest.raises(ValueError, match="2147483647"):
-            oracle._working_dtype(2**31 - 1, 3)
+            linalg._working_dtype(2**31 - 1, 3)
 
 
 class TestEchelon:
@@ -331,7 +333,7 @@ class TestEchelon:
     @pytest.mark.parametrize("seed", range(3))
     def test_row_space_matches_rref(self, p, seed):
         rng = np.random.default_rng(seed)
-        dtype = oracle._working_dtype(p, 2)
+        dtype = linalg._working_dtype(p, 2)
         for rows, cols, inner in [(8, 8, None), (12, 9, None), (7, 14, None),
                                   (10, 10, 3), (14, 11, 1), (9, 12, 5), (6, 6, 0)]:
             if inner is None:
@@ -358,7 +360,7 @@ class TestEchelon:
             np.zeros((3, cols), dtype=np.int64),
         ])
         tags = rng.integers(0, ntags, size=work.shape[0])
-        got, got_tags = tagged_echelon(work.astype(oracle._working_dtype(p, 2)), p, tags)
+        got, got_tags = tagged_echelon(work.astype(linalg._working_dtype(p, 2)), p, tags)
         counts = np.bincount(got_tags, minlength=ntags)
         for t in range(ntags):
             want, piv = rref(work[tags == t], p)

@@ -21,14 +21,17 @@ from jordanblocks import (
     tensor_block_type,
     tensor_dual_type,
 )
+from jordanblocks import oracle
 from jordanblocks.partitions import PrimeChar, alpha_of, binom_mod_p, nu_p
 
 PRIMES = [2, 3, 5, 7]
 
-# every public entry point that takes a prime (or, for GroupContext, a
-# dimension), called with 3 in that place
+# every public entry point that takes a prime (or, for GroupContext and
+# tensor_block_type, a dimension), called with 3 in that place
 TAKES_AN_INTEGER = {
     "tensor_block_type": lambda p: tensor_block_type(2, 3, p),
+    "tensor_block_type.m": lambda m: tensor_block_type(m, 4, 3),
+    "tensor_block_type.n": lambda n: tensor_block_type(2, n, 3),
     "tensor_dual_type": lambda p: tensor_dual_type(JordanType({2: 1, 3: 1}), p),
     "ext2_type": lambda p: ext2_type(JordanType({2: 2}), p),
     "sym2_type": lambda p: sym2_type(JordanType({2: 2}), p),
@@ -149,6 +152,12 @@ class TestIntegerArguments:
     @pytest.mark.parametrize("value", [3.0, 3.9, "3", 2.0])
     @pytest.mark.parametrize("entry", sorted(TAKES_AN_INTEGER))
     def test_floats_and_strings_are_refused(self, entry, value):
+        # on a cold memo, and again once the integer call has warmed it: the
+        # memo key (3.0, 4, 3) equals (3, 4, 3)
+        oracle._tensor_block_type.cache_clear()
+        with pytest.raises(TypeError):
+            TAKES_AN_INTEGER[entry](value)
+        TAKES_AN_INTEGER[entry](3)
         with pytest.raises(TypeError):
             TAKES_AN_INTEGER[entry](value)
 
