@@ -2,13 +2,15 @@
 
 Exit codes are stable for scripting: 0 success, 2 usage error (from
 argparse), 3 domain validation error (bad prime, invalid partition, group
-constraint, resource cap), 4 verification mismatch.
+constraint, resource cap), 4 verification mismatch, 141 the reader closed
+stdout early (as the shell reports a SIGPIPE death).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -17,13 +19,11 @@ from .linalg import _working_dtype
 from .oracle import ext2_type, sym2_type, tensor_dual_type
 from .partitions import JordanType, parse_jordan_type, partitions_of
 from .reports import build_report
-from .rules import GroupContext, validate_classical
+from .rules import _DOMAINS, GroupContext, validate_classical
 
 __all__ = ["main"]
 
 _GROUPS = {"sl": "SL", "sp": "Sp", "so": "SO"}
-# first dimension and step of the dimensions each group's sweep covers
-_SWEEP_DIMS = {"SL": (2, 1), "Sp": (4, 2), "SO": (5, 1)}
 
 FixtureRow = tuple[int, int, JordanType, JordanType, JordanType]
 
@@ -112,7 +112,7 @@ def cmd_reproduce_table(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     kind = _GROUPS[args.group]
-    first, step = _SWEEP_DIMS[kind]
+    first, step, _ = _DOMAINS[kind]
     # refuses a bad p, and Sp/SO at p = 2, even when --max-n leaves no dimension
     GroupContext(kind, first, args.p)
     for n in range(first, args.max_n + 1, step):
@@ -191,6 +191,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader left (`sweep ... | head`); send what is still buffered to
+        # devnull so that the interpreter's last flush does not raise again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -178,19 +178,12 @@ def kronecker(A: PrimeFieldMatrix, B: PrimeFieldMatrix) -> PrimeFieldMatrix:
     return PrimeFieldMatrix(np.kron(A.array, B.array), A.p)
 
 
-def _pair_indices(n: int, strict: bool) -> tuple[np.ndarray, np.ndarray]:
-    pairs = [(i, j) for i in range(n) for j in range(i + 1 if strict else i, n)]
-    left = np.array([i for i, _ in pairs], dtype=np.intp)
-    right = np.array([j for _, j in pairs], dtype=np.intp)
-    return left, right
-
-
 def exterior_square(M: PrimeFieldMatrix) -> PrimeFieldMatrix:
     """Induced map on the basis {e_i ^ e_j : i < j}, ordered lexicographically."""
     if not M.is_square() or M.rows < 2:
         raise ValueError("exterior_square needs a square matrix of size >= 2")
     A, p = M.array, M.p
-    I, J = _pair_indices(M.rows, strict=True)
+    I, J = np.triu_indices(M.rows, 1)
     out = A[np.ix_(I, I)] * A[np.ix_(J, J)] - A[np.ix_(I, J)] * A[np.ix_(J, I)]
     return PrimeFieldMatrix(out, p)
 
@@ -206,7 +199,7 @@ def symmetric_square(M: PrimeFieldMatrix) -> PrimeFieldMatrix:
     if not M.is_square():
         raise ValueError("symmetric_square needs a square matrix")
     A, p = M.array, M.p
-    I, J = _pair_indices(M.rows, strict=False)
+    I, J = np.triu_indices(M.rows)
     out = (A[np.ix_(I, I)] * A[np.ix_(J, J)] + A[np.ix_(I, J)] * A[np.ix_(J, I)]) % p
     diag = np.nonzero(I == J)[0]
     out[:, diag] = out[:, diag] * _inv_scalar(2, p) % p

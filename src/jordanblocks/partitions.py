@@ -165,7 +165,7 @@ class JordanType:
         return f"JordanType({dict(self._pairs)!r})"
 
 
-_TERM = re.compile(r"(\d+)(?:\^(\d+))?\Z")
+_TERM = re.compile(r"(\d+)(?:\^(\d+))?\Z", re.ASCII)
 
 
 def parse_jordan_type(text: str) -> JordanType:
@@ -195,19 +195,18 @@ def partitions_of(n: int) -> Iterator[JordanType]:
     if n < 0:
         raise ValueError(f"dimension must be non-negative, got {n}")
 
-    def descend(total: int, cap: int) -> Iterator[tuple[int, ...]]:
+    def descend(total: int, cap: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        # (size, mult) pairs, largest size first, with every size <= cap
         if total == 0:
             yield ()
             return
         for part in range(min(total, cap), 0, -1):
-            for rest in descend(total - part, part):
-                yield (part,) + rest
+            for mult in range(total // part, 0, -1):
+                for rest in descend(total - part * mult, part - 1):
+                    yield ((part, mult),) + rest
 
-    for parts in descend(n, n):
-        counts: dict[int, int] = {}
-        for part in parts:
-            counts[part] = counts.get(part, 0) + 1
-        yield JordanType(counts)
+    for pairs in descend(n, n):
+        yield JordanType(pairs)
 
 
 def nu_p(a: int, p: int) -> int:

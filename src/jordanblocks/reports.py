@@ -9,7 +9,7 @@ route and records agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .construction import _split_adjoint_type
 from .oracle import (
@@ -25,7 +25,6 @@ from .rules import (
     rule_case,
     so_2w1_rule,
     sp_w2_rule,
-    validate_classical,
 )
 
 __all__ = ["DecompositionReport", "build_report"]
@@ -62,7 +61,7 @@ class DecompositionReport:
         }
 
 
-def _verify(report: DecompositionReport, max_entries: int) -> bool:
+def _verify(t: JordanType, ctx: GroupContext, irreducible: JordanType, max_entries: int) -> bool:
     """Recompute the irreducible type by an independent route.
 
     SL: `construction._split_adjoint_type` sums the memoized rank chains of
@@ -73,10 +72,8 @@ def _verify(report: DecompositionReport, max_entries: int) -> bool:
     check the complementary-square identity, i.e. that the irreducible type
     plus the other square equals the SL result on V tensor V*.
     """
-    ctx = report.context
-    t = report.input_type
     if ctx.kind == "SL":
-        return _split_adjoint_type(t, ctx.p) == report.irreducible
+        return _split_adjoint_type(t, ctx.p) == irreducible
     sl_ctx = GroupContext("SL", ctx.n, ctx.p)
     adjoint = adjoint_rule(
         tensor_dual_type(t, ctx.p, max_entries=max_entries), t, sl_ctx
@@ -85,7 +82,7 @@ def _verify(report: DecompositionReport, max_entries: int) -> bool:
         other = sym2_type(t, ctx.p, max_entries=max_entries)
     else:
         other = ext2_type(t, ctx.p, max_entries=max_entries)
-    return report.irreducible + other == adjoint
+    return irreducible + other == adjoint
 
 
 def build_report(
@@ -95,10 +92,7 @@ def build_report(
     verify: bool = False,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> DecompositionReport:
-    """Compute carrier and irreducible types for t in the given context."""
-    verdict = validate_classical(t, ctx)
-    if not verdict.ok:
-        raise ValueError(verdict.reason)
+    """Carrier and irreducible types for t in ctx; the group's rule refuses an invalid t."""
     p = ctx.p
     if ctx.kind == "SL":
         carrier = tensor_dual_type(t, p, max_entries=max_entries)
@@ -109,13 +103,11 @@ def build_report(
     else:
         carrier = sym2_type(t, p, max_entries=max_entries)
         irreducible = so_2w1_rule(carrier, t, ctx)
-    report = DecompositionReport(
+    return DecompositionReport(
         context=ctx,
         input_type=t,
         carrier=carrier,
         irreducible=irreducible,
         rule=rule_case(t, p),
+        verified=_verify(t, ctx, irreducible, max_entries) if verify else None,
     )
-    if verify:
-        report = replace(report, verified=_verify(report, max_entries))
-    return report

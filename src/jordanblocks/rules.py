@@ -28,7 +28,8 @@ __all__ = [
     "validate_classical",
 ]
 
-_KINDS = ("SL", "Sp", "SO")
+# kind -> (least n, step in n, parity of the sizes needing even multiplicity or None)
+_DOMAINS = {"SL": (2, 1, None), "Sp": (4, 2, 1), "SO": (5, 1, 0)}
 
 
 @dataclass(frozen=True)
@@ -47,17 +48,14 @@ class GroupContext:
     p: int
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind not in _DOMAINS:
+            raise ValueError(f"kind must be one of {tuple(_DOMAINS)}, got {self.kind!r}")
         object.__setattr__(self, "n", operator.index(self.n))
         object.__setattr__(self, "p", int(PrimeChar(self.p)))
-        if self.kind == "SL" and self.n < 2:
-            raise ValueError(f"SL needs n >= 2, got {self.n}")
-        if self.kind == "Sp":
-            if self.n < 4 or self.n % 2:
-                raise ValueError(f"Sp needs even n >= 4, got {self.n}")
-        if self.kind == "SO" and self.n < 5:
-            raise ValueError(f"SO needs n >= 5, got {self.n}")
+        least, step, _ = _DOMAINS[self.kind]
+        if self.n < least or (self.n - least) % step:
+            even = "even " * (step == 2)
+            raise ValueError(f"{self.kind} needs {even}n >= {least}, got {self.n}")
         if self.kind in ("Sp", "SO") and self.p == 2:
             raise ValueError(
                 f"{self.kind} at p = 2 is unsupported: the square carriers do "
@@ -82,17 +80,14 @@ def validate_classical(t: JordanType, ctx: GroupContext) -> Verdict:
     """
     if t.dim != ctx.n:
         return Verdict(False, f"type has dimension {t.dim}, context needs {ctx.n}")
-    if ctx.kind == "Sp":
-        bad_parity, label = 1, "odd"
-    elif ctx.kind == "SO":
-        bad_parity, label = 0, "even"
-    else:
+    parity = _DOMAINS[ctx.kind][2]
+    if parity is None:
         return Verdict(True, None)
     for size, mult in t:
-        if size % 2 == bad_parity and mult % 2:
+        if size % 2 == parity and mult % 2:
             return Verdict(
                 False,
-                f"{label} size {size} has odd multiplicity {mult}, "
+                f"{'odd' if parity else 'even'} size {size} has odd multiplicity {mult}, "
                 f"impossible in {ctx.kind}",
             )
     return Verdict(True, None)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from jordanblocks import JordanType, parse_jordan_type
+from jordanblocks import GroupContext, JordanType, parse_jordan_type
 from jordanblocks.cli import main
 
 SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sweep.txt"
@@ -223,6 +223,35 @@ class TestSweep:
         assert code == 0
         assert out.splitlines() == want
 
+    @pytest.mark.parametrize("group, kind", [("sl", "SL"), ("sp", "Sp"), ("so", "SO")])
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_swept_dimensions_are_those_the_group_accepts(self, capsys, group, kind, p):
+        code, out, _ = run(capsys, "sweep", "--p", str(p), "--max-n", "12", "--group", group)
+        assert code == 0
+        swept = {int(row.split(";", 1)[0]) for row in out.splitlines()}
+        accepted = set()
+        for n in range(13):
+            try:
+                GroupContext(kind, n, p)
+            except ValueError:
+                continue
+            accepted.add(n)
+        assert swept == accepted
+
+    def test_reader_closing_early_ends_quietly(self):
+        # the JSON rows of this sweep (about 110 kB) overflow a pipe buffer,
+        # so the writer meets the closed pipe however fast it runs
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jordanblocks.cli", "sweep", "--p", "3", "--max-n", "14", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
+        )
+        assert json.loads(proc.stdout.readline())["context"]["n"] == 2
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+
     def test_json_rows_parse(self, capsys):
         code, out, _ = run(capsys, "sweep", "--p", "3", "--max-n", "4", "--json")
         assert code == 0
@@ -287,12 +316,16 @@ class TestReproduceTable:
         assert err.startswith("error: cannot read fixture")
 
 
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 def fresh_interpreter(code: str) -> str:
     """stdout of code run in a new interpreter on this checkout's src/, so
     that no other test's import counts."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

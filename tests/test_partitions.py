@@ -119,7 +119,11 @@ class TestParse:
     def test_repeated_terms_accumulate(self):
         assert parse_jordan_type("2, 2, 2^2") == JordanType({2: 4})
 
-    @pytest.mark.parametrize("text", ["", "junk", "2^", "^3", "0^2", "2^0", "-1"])
+    # "\u0663" is ARABIC-INDIC DIGIT THREE and "\uff11^\uff12" is FULLWIDTH 1^2:
+    # digits, but not ASCII ones
+    @pytest.mark.parametrize(
+        "text", ["", "junk", "2^", "^3", "0^2", "2^0", "-1", "\u0663, \uff11^\uff12", "\u0663"]
+    )
     def test_rejects_malformed_input(self, text):
         with pytest.raises(ValueError):
             parse_jordan_type(text)
@@ -249,6 +253,23 @@ class TestPartitionsOf:
 
     def test_deterministic(self):
         assert list(partitions_of(7)) == list(partitions_of(7))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_whole_order_is_reverse_lexicographic(self, n):
+        # brute force: every composition of n (a subset of the n - 1 cut
+        # points) sorted into descending parts, then the distinct part
+        # tuples in reverse lexicographic order
+        partitions = set()
+        for cuts in range(2 ** (n - 1)):
+            parts, run = [], 1
+            for i in range(n - 1):
+                if cuts >> i & 1:
+                    parts.append(run)
+                    run = 0
+                run += 1
+            partitions.add(tuple(sorted(parts + [run], reverse=True)))
+        want = [JordanType((part, 1) for part in parts) for parts in sorted(partitions, reverse=True)]
+        assert list(partitions_of(n)) == want
 
     def test_zero_has_one_empty_partition(self):
         assert list(partitions_of(0)) == [JordanType({})]
