@@ -67,12 +67,15 @@ def _load_fixture(path: str | None) -> list[FixtureRow]:
 def cmd_decompose(args: argparse.Namespace) -> int:
     t = parse_jordan_type(args.type)
     ctx = GroupContext(_GROUPS[args.group], t.dim, args.p)
-    if args.verify and ctx.kind == "SL":
-        try:  # the SL verify route eliminates; the answer itself does not
-            _working_dtype(ctx.p, 2)
+    verdict = validate_classical(t, ctx)
+    if not verdict.ok:  # before any carrier, whose cap would hide the reason
+        raise ValueError(verdict.reason)
+    report = build_report(t, ctx)
+    if args.verify:
+        try:  # the same answer was just built, so only the check can refuse here
+            report = build_report(t, ctx, verify=True)
         except ValueError as exc:
             raise ValueError(f"{exc}; drop --verify to get the answer without the check") from None
-    report = build_report(t, ctx, verify=args.verify)
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:

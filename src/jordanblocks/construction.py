@@ -22,19 +22,10 @@ from .linalg import (
     PrimeFieldMatrix, _working_dtype, block_diagonal, dual_action, jordan_block, kronecker
 )
 from .oracle import _blocks_from_ranks, _checked, _echelon, _rank_chain
-from .partitions import JordanType, PrimeChar
+from .partitions import JordanType
+from .rules import GroupContext
 
 __all__ = ["build_adjoint_action"]
-
-
-def _require_adjoint_input(t: JordanType, p: int) -> int:
-    if not t:
-        raise ValueError("empty Jordan type")
-    PrimeChar(p)
-    n = t.dim
-    if n < 2:
-        raise ValueError(f"need dim >= 2, got {n}")
-    return n
 
 
 def build_adjoint_action(t: JordanType, p: int) -> PrimeFieldMatrix:
@@ -55,7 +46,7 @@ def build_adjoint_action(t: JordanType, p: int) -> PrimeFieldMatrix:
     and the quotient drops the coordinate of its first nonzero,
     e_2 tensor e_2^*, kernel index n.
     """
-    n = _require_adjoint_input(t, p)
+    n = GroupContext("SL", t.dim, p).n
     u = block_diagonal([jordan_block(d, p) for d, m in t for _ in range(m)])
     u0 = kronecker(u, dual_action(u)).array
     phi = np.zeros(n * n, dtype=np.int64)
@@ -166,10 +157,10 @@ def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
     recursion is used. It follows the module theory of the paper's proof,
     where the delta_beta vectors certify I in im X^(p^beta - 1); the tests
     hold (h_d, c_d) to (p^nu - 1, d / p^nu mod p), nu = nu_p(d), and the
-    whole route to `build_adjoint_action`.
+    whole route to `build_adjoint_action`. t and p are those of a valid SL
+    context, which its caller holds.
     """
-    n = _require_adjoint_input(t, p)
-    p = int(p)
+    n = t.dim
     # blocks of V_r tensor V_s^* are shorter than r + s, so ranks ends in 0
     ranks = [0] * (2 * t.max_size)
     blocks = list(t)

@@ -33,11 +33,6 @@ def _working_dtype(p: int, terms: int):
     raise ValueError(f"p = {p} is too large: a sum of {terms} products mod p would overflow int64")
 
 
-def _inv_scalar(a: int, p: int) -> int:
-    """Inverse in GF(p) via Fermat."""
-    return pow(int(a), p - 2, p)
-
-
 class PrimeFieldMatrix:
     """Dense matrix over GF(p) with exact integer arithmetic. int64 must hold
     the sum of two products the squares and rref form; `@` checks its own."""
@@ -145,7 +140,7 @@ def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         i = r + int(hit[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
-        R[r] = R[r] * _inv_scalar(R[r, c], p) % p
+        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
         other = np.nonzero(R[:, c])[0]
         other = other[other != r]
         if other.size:
@@ -202,5 +197,5 @@ def symmetric_square(M: PrimeFieldMatrix) -> PrimeFieldMatrix:
     I, J = np.triu_indices(M.rows)
     out = (A[np.ix_(I, I)] * A[np.ix_(J, J)] + A[np.ix_(I, J)] * A[np.ix_(J, I)]) % p
     diag = np.nonzero(I == J)[0]
-    out[:, diag] = out[:, diag] * _inv_scalar(2, p) % p
+    out[:, diag] = out[:, diag] * pow(2, -1, p) % p
     return PrimeFieldMatrix(out, p)

@@ -3,8 +3,9 @@
 A report bundles everything one query produces: the group context, the
 input Jordan type, the carrier type (V tensor V* for SL, exterior square
 for Sp, symmetric square for SO), the irreducible type, and the rule case
-that produced it. Verification recomputes the irreducible type by a second
-route and records agreement.
+that produced it. Verification checks the answer by a route that calls no
+rule: for SL it recomputes the irreducible type by elimination, for Sp and
+SO it checks that the two squares add up to V tensor V*.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ __all__ = ["DecompositionReport", "build_report"]
 class DecompositionReport:
     """One decomposition query's full result.
 
-    verified is None when no cross-check was requested, otherwise the
-    outcome of recomputing the irreducible type a second way.
+    verified is None when no check was requested, otherwise whether the
+    irreducible type recomputed by elimination agrees (SL), or whether the
+    carrier plus the other square equals V tensor V* (Sp/SO).
     """
 
     context: GroupContext
@@ -61,28 +63,25 @@ class DecompositionReport:
         }
 
 
-def _verify(t: JordanType, ctx: GroupContext, irreducible: JordanType, max_entries: int) -> bool:
-    """Recompute the irreducible type by an independent route.
+def _verify(
+    t: JordanType, ctx: GroupContext, carrier: JordanType, irreducible: JordanType, max_entries: int
+) -> bool:
+    """Check the answer by a route that calls no rule.
 
-    SL: `construction._split_adjoint_type` sums the memoized rank chains of
-    the pieces V_r tensor V_s^* by elimination, corrects the diagonal once
-    by two invariants per block size, and reads the blocks off the result;
-    its docstring states that rank identity. It uses no rule, no tensor-pair
-    engine and no matrix of more than (max d)^2 rows. Sp/SO:
-    check the complementary-square identity, i.e. that the irreducible type
-    plus the other square equals the SL result on V tensor V*.
+    SL: `construction._split_adjoint_type` recomputes the irreducible type
+    from the memoized rank chains of the pieces V_r tensor V_s^* and two
+    invariants per block size, by elimination; it uses no rule, no
+    tensor-pair closed form and no matrix of more than (max d)^2 rows.
+    Sp/SO: the carrier plus the other square must equal V tensor V*. Each
+    rule makes the same block changes to its carrier as the SL rule makes to
+    V tensor V*, so this is the complementary-square identity
+    rule(carrier) + other == adjoint_rule(V tensor V*) with those changes
+    taken off both sides.
     """
     if ctx.kind == "SL":
         return _split_adjoint_type(t, ctx.p) == irreducible
-    sl_ctx = GroupContext("SL", ctx.n, ctx.p)
-    adjoint = adjoint_rule(
-        tensor_dual_type(t, ctx.p, max_entries=max_entries), t, sl_ctx
-    )
-    if ctx.kind == "Sp":
-        other = sym2_type(t, ctx.p, max_entries=max_entries)
-    else:
-        other = ext2_type(t, ctx.p, max_entries=max_entries)
-    return irreducible + other == adjoint
+    other = (sym2_type if ctx.kind == "Sp" else ext2_type)(t, ctx.p, max_entries=max_entries)
+    return carrier + other == tensor_dual_type(t, ctx.p, max_entries=max_entries)
 
 
 def build_report(
@@ -109,5 +108,5 @@ def build_report(
         carrier=carrier,
         irreducible=irreducible,
         rule=rule_case(t, p),
-        verified=_verify(t, ctx, irreducible, max_entries) if verify else None,
+        verified=_verify(t, ctx, carrier, irreducible, max_entries) if verify else None,
     )

@@ -18,6 +18,7 @@ from jordanblocks import (
     JordanType,
     adjoint_rule,
     build_adjoint_action,
+    build_report,
     ext2_type,
     jordan_type_of,
     partitions_of,
@@ -209,6 +210,7 @@ def test_criterion_8_square_pieces_complement_each_other():
                     else:
                         piece = so_2w1_rule(sym2_type(t, p), t, ctx)
                         assert piece + ext2_type(t, p) == adj, (kind, t.render(), p)
+                    assert build_report(t, ctx, verify=True).verified, (kind, t.render(), p)
                     checked += 1
     report(f"criterion 8: square pieces complement the adjoint type on {checked} cases", start)
 

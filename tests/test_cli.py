@@ -156,6 +156,22 @@ class TestDecompose:
         assert code == 3
         assert "impossible in Sp" in err
 
+    def test_invalid_type_past_the_cap_is_refused_for_its_type(self, capsys):
+        # the exterior square of 201, 1 is past the default cap; the type is refused first
+        code, out, err = run(capsys, "decompose", "--p", "3", "--type", "201, 1", "--group", "sp")
+        assert code == 3
+        assert out == ""
+        assert "impossible in Sp" in err
+        assert "cap" not in err
+
+    @pytest.mark.parametrize("group, size", [("so", "15"), ("sp", "16")])
+    def test_square_verify_past_the_cap_names_the_fix(self, capsys, group, size):
+        # the answer needs only the squares; the check also needs the pair cap's V tensor V*
+        code, out, err = run(capsys, "decompose", "--p", "3", "--type", size, "--group", group, "--verify")
+        assert code == 3
+        assert out == ""
+        assert "--verify" in err
+
 
 class TestSweep:
     def test_linear_sweep_is_deterministic(self, capsys):

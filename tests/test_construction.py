@@ -25,7 +25,7 @@ from jordanblocks import (
     jordan_type_of,
     partitions_of,
 )
-from jordanblocks import construction, oracle
+from jordanblocks import construction, oracle, recursions, rules
 from jordanblocks.linalg import dual_action, jordan_block, kronecker
 from jordanblocks.partitions import alpha_of, nu_p
 
@@ -172,7 +172,7 @@ class TestBuildAdjointAction:
         assert jordan_type_of(A).dim == t.dim**2 - 1
 
     def test_rejects_small_and_empty_types(self):
-        with pytest.raises(ValueError, match="dim"):
+        with pytest.raises(ValueError, match="n >= 2"):
             build_adjoint_action(JordanType({1: 1}), 2)
         with pytest.raises(ValueError):
             build_adjoint_action(JordanType({}), 3)
@@ -245,3 +245,26 @@ class TestSplitRoute:
             for t in partitions_of(n):
                 want = jordan_type_of(build_adjoint_action(t, p))
                 assert construction._split_adjoint_type(t, p) == want, t.render()
+
+    def test_no_rule_or_closed_form_is_used(self, monkeypatch):
+        # stub every rule and closed form in each module that binds it, and
+        # start from cold memos, so that a call from anywhere would raise
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the SL verify route reached a rule or closed form")
+
+        stubbed = [(rules, "_rule"), (rules, "_case"), (oracle, "_tensor_block_type"), (oracle, "_square_single")]
+        stubbed += [(recursions, name) for name in (
+            "clebsch_gordan", "gpx_scale", "free_rule", "reflect_rule", "two_level_rule"
+        )]
+        for module, name in stubbed:
+            original = getattr(module, name)
+            for binder in (construction, oracle, recursions, rules):
+                if getattr(binder, name, None) is original:
+                    monkeypatch.setattr(binder, name, forbidden)
+        for memo in (construction._piece_ranks, construction._diagonal_invariants):
+            memo.cache_clear()
+        for p in (2, 3):
+            for n in range(2, 7):
+                for t in partitions_of(n):
+                    want = jordan_type_of(build_adjoint_action(t, p))
+                    assert construction._split_adjoint_type(t, p) == want, (t.render(), p)
