@@ -72,11 +72,11 @@ def _verify(
     from the memoized rank chains of the pieces V_r tensor V_s^* and two
     invariants per block size, by elimination; it uses no rule, no
     tensor-pair closed form and no matrix of more than (max d)^2 rows.
-    Sp/SO: the carrier plus the other square must equal V tensor V*. Each
-    rule makes the same block changes to its carrier as the SL rule makes to
-    V tensor V*, so this is the complementary-square identity
-    rule(carrier) + other == adjoint_rule(V tensor V*) with those changes
-    taken off both sides.
+    Sp/SO: the carrier plus the other square must equal V tensor V*, which
+    is rule(carrier) + other == adjoint_rule(V tensor V*) with the block
+    changes all three rules share taken off both sides. It checks how the
+    squares are assembled from the memoized tensor pairs, not the pairs or
+    the rules.
     """
     if ctx.kind == "SL":
         return _split_adjoint_type(t, ctx.p) == irreducible

@@ -166,7 +166,7 @@ class TestDecompose:
 
     @pytest.mark.parametrize("group, size", [("so", "15"), ("sp", "16")])
     def test_square_verify_past_the_cap_names_the_fix(self, capsys, group, size):
-        # the answer needs only the squares; the check also needs the pair cap's V tensor V*
+        # the answer needs only the squares; the check also needs V tensor V*, past the pair cap
         code, out, err = run(capsys, "decompose", "--p", "3", "--type", size, "--group", group, "--verify")
         assert code == 3
         assert out == ""
