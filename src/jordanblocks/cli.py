@@ -157,7 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument(
         "--verify",
         action="store_true",
-        help="recompute the irreducible type a second way and report agreement",
+        help="check the answer and report agreement: SL recomputes the irreducible "
+        "type by elimination; Sp/SO check carrier + other square == V tensor V*",
     )
     dec.add_argument("--json", action="store_true", help="emit the full report as JSON")
     dec.set_defaults(func=cmd_decompose)

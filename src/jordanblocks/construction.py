@@ -6,10 +6,10 @@ to the kernel of the evaluation form (modulo the invariant line when p
 divides dim V) as one explicit matrix, the tests' whole-module referee.
 
 The SL verify route builds no matrix: it sums the same module's ranks
-summand by summand, each piece V_r tensor V_s^* from a rank chain whose
-product is a shift-add and an alternating prefix sum on rows reshaped to
-(r, s), corrects the diagonal part by two invariants per block size, and
-reads the blocks off the sum once.
+summand by summand, each piece V_r tensor V_s^* from the graded blocks of
+X^k on k[x, v]/(x^r, v^s), at most min(r, s) wide and eliminated in one
+tagged call, corrects the diagonal part by two invariants per block size,
+and reads the blocks off the sum once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .linalg import (
     PrimeFieldMatrix, _working_dtype, block_diagonal, dual_action, jordan_block, kronecker
 )
-from .oracle import _blocks_from_ranks, _checked, _echelon, _rank_chain
+from .oracle import _blocks_from_ranks, _checked, _echelon
 from .partitions import JordanType
 from .rules import GroupContext
 
@@ -62,17 +62,20 @@ def build_adjoint_action(t: JordanType, p: int) -> PrimeFieldMatrix:
     return PrimeFieldMatrix(reduced[np.ix_(keep, keep)], p)
 
 
-def _times_x(rows: np.ndarray, r: int, s: int, p: int) -> np.ndarray:
-    """rows times X = (J_r tensor J_s^-T) - 1 on V_r tensor V_s^*, mod p.
+def _times_x(rows: np.ndarray, d: int, p: int) -> np.ndarray:
+    """rows times X = (J_d tensor J_d^-T) - 1 on End(V_d) = V_d tensor V_d^*, mod p.
 
-    A row of r*s coefficients, reshaped to (r, s), is multiplied by J_r along
-    r, a shift-add (e_i -> e_i + e_(i-1)), and by the contragredient
-    J_s^-T along s, an alternating prefix sum; the identity is subtracted.
-    The sums run in int64, where they stay below 2ps in absolute value; the
-    result comes back reduced, in the dtype of rows.
+    A row of d*d coefficients, reshaped to (d, d), is multiplied by J_d along
+    the first axis, a shift-add (e_i -> e_i + e_(i-1)), and by the
+    contragredient J_d^-T along the second, an alternating prefix sum; the
+    identity is subtracted. The sums run in int64, where they stay below
+    2pd in absolute value; the result comes back reduced, in the dtype of
+    rows. Its one caller, `_diagonal_invariants`, reads the trace and the
+    identity of End(V_d) in this basis, not in the graded one of
+    `_piece_ranks`.
     """
-    a = rows.reshape(-1, r, s).astype(np.int64)
-    sign = 1 - 2 * (np.arange(s) & 1)
+    a = rows.reshape(-1, d, d).astype(np.int64)
+    sign = 1 - 2 * (np.arange(d) & 1)
     b = a.copy()
     b[:, :-1] += a[:, 1:]
     b *= sign
@@ -85,9 +88,55 @@ def _times_x(rows: np.ndarray, r: int, s: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _piece_ranks(r: int, s: int, p: int) -> tuple[int, ...]:
-    """Ranks of X^0, X^1, ... down to 0 on V_r tensor V_s^*, r <= s, by a
-    shift-product rank chain."""
-    return tuple(_rank_chain(lambda rows: _times_x(rows, r, s, p), r * s, p, _working_dtype(p, 2)))
+    """Ranks of X^0, X^1, ... down to the first 0 on V_r tensor V_s^*, r <= s,
+    from graded blocks at most r wide.
+
+    V_s^* is isomorphic to V_s as a k[u]-module, so X^k has the same ranks
+    on V_r tensor V_s^* as on V_r tensor V_s = k[x, y]/(x^r, y^s). There
+    X = u tensor u - 1 is multiplication by x + y + xy = x + v with
+    v = y(1 + x). As 1 + x is a unit, the ring is also k[x, v]/(x^r, v^s),
+    graded by total degree, and X = x + v is homogeneous of degree 1:
+    X^k maps R_d = span{x^i v^(d-i)} into R_(d+k) by
+    x^i v^j -> sum_a C(k, a) x^(i+a) v^(j+k-a), truncated. So rank X^k is
+    the sum over d of the ranks of these binomial blocks. A block's columns
+    are the exponents of x in R_(d+k), so it is at most r = min(r, s) wide;
+    the rows of every block of every power go through one `_echelon` call,
+    tagged by (k, d), and no r*s-wide row is ever formed.
+    """
+    dtype = _working_dtype(p, 2)  # refuses a too-large p before any arithmetic
+    top = r + s - 2  # highest degree, so X^(top+1) = 0
+    i, j = np.divmod(np.arange(r * s), s)
+    deg = i + j
+    order = np.argsort(deg, kind="stable")
+    i, deg = i[order], deg[order]
+    # X^k can be nonzero only on R_d with d <= top - k: a prefix in degree order
+    per_k = np.searchsorted(deg, top - np.arange(1, top + 1), side="right")
+    k = np.repeat(np.arange(1, top + 1), per_k)
+    src = np.arange(k.size) - np.repeat(np.cumsum(per_k) - per_k, per_k)
+    i, deg = i[src], deg[src]
+    # the exponent of v in the image stays below s while that of x is >= low
+    low = deg + k - (s - 1)
+
+    binom = np.zeros((top + 1, r), dtype=np.int64)
+    binom[0, 0] = 1
+    for row in range(1, top + 1):
+        binom[row] = binom[row - 1]
+        binom[row, 1:] += binom[row - 1, :-1]
+        binom[row] %= p
+    binom = binom.astype(dtype)
+
+    work = np.zeros((k.size, r), dtype=dtype)
+    rows = np.arange(k.size)
+    for a in range(r):
+        col = i + a
+        ok = (col < r) & (col >= low)
+        work[rows[ok], col[ok]] = binom[k[ok], a]
+
+    blocks, tags = np.unique(k * (top + 1) + deg, return_inverse=True)
+    _, pivot_tags = _echelon(work, p, tags)
+    ranks = np.bincount(blocks[pivot_tags] // (top + 1), minlength=top + 2).tolist()
+    ranks[0] = r * s
+    return tuple(ranks[: ranks.index(0) + 1])
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +175,7 @@ def _diagonal_invariants(d: int, p: int) -> tuple[int, int]:
             return h, c
         h, c = h + 1, -eps * pow(m, -1, p) % p
         rows = np.zeros_like(basis)
-        rows[:, :n] = _times_x(basis[:, :n], d, d, p)
+        rows[:, :n] = _times_x(basis[:, :n], d, p)
         rows[:, n] = basis[:, n]
 
 
@@ -136,7 +185,7 @@ def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
 
     V tensor V* is the sum of the u-invariant pieces V_a tensor V_b^* over
     ordered pairs of blocks, so its ranks of X^k are sums of the pieces'
-    ranks, each from its own shift-product rank chain, memoized by sizes.
+    ranks, each from `_piece_ranks`'s graded blocks, memoized by sizes.
     L is ker eps, eps the evaluation form, taken mod the identity I when
     p | n. eps vanishes on every piece with a != b, and I lies in the sum of
     the a = b pieces, so only that diagonal part needs a correction. eps

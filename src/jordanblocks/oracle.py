@@ -13,8 +13,10 @@ builds a matrix.
 
 Ranks are counted only for an explicit matrix (`jordan_type_of`) and for
 `--verify` (`construction`), by the same division-free `_echelon` at every
-prime, p = 2 included: a row basis of the row space of X^k, X = u - 1, is
-carried along, multiplied by X and echelonized once per step. All
+prime, p = 2 included. For a matrix, `_rank_chain` carries a row basis of
+the row space of X^k, X = u - 1, along, multiplies it by X and echelonizes
+it once per step. `--verify` ranks each piece V_r tensor V_s^* from its
+graded blocks, all of them in one `_echelon` call tagged by block. All
 arithmetic is integer, in the narrowest dtype (int8 to int64) that
 `linalg._working_dtype` picks for the elimination's bound at p; a prime
 too large for int64 is refused. The closed forms need no such bound: they
@@ -48,7 +50,9 @@ def _check_cap(side: int, max_entries: int) -> None:
         )
 
 
-def _echelon(work: np.ndarray, p: int) -> np.ndarray:
+def _echelon(
+    work: np.ndarray, p: int, tags: np.ndarray | None = None
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Row-echelon basis of the row space of work, with no division.
 
     work must already be reduced mod p; it is overwritten.
@@ -64,13 +68,22 @@ def _echelon(work: np.ndarray, p: int) -> np.ndarray:
     Every entry then lies in [0, 2(p-1)^2], non-negative, so the reduction
     is an in-place floor division, multiply and subtract at every width,
     faster than np.mod in int8 to int32 and within about 10% of it in int64.
+
+    tags, one non-negative integer per row, solves independent problems in
+    one call: pivots are then keyed on (tag, leading column), so a row only
+    ever meets pivots of its own tag, and the call returns the basis with
+    the tag of each of its rows; the basis rows of tag t span the row space
+    of the input rows of tag t. One tagged call is an order of magnitude
+    faster than one call per tag when the problems are many and small.
     """
     nrows, ncols = work.shape
-    acc = np.zeros((min(nrows, ncols), ncols), dtype=work.dtype)
+    nkeys = ncols if tags is None else (int(tags.max()) + 1 if nrows else 1) * ncols
+    acc = np.zeros((min(nrows, nkeys), ncols), dtype=work.dtype)
     lead = np.zeros(acc.shape[0], dtype=work.dtype)
-    pivot_at = np.full(ncols, -1, dtype=np.intp)
+    pivot_at = np.full(nkeys, -1, dtype=np.intp)
     count = 0
     act = work
+    base = None if tags is None else tags * ncols
     idx = np.arange(nrows)
     while act.shape[0]:
         leads = np.argmax(act != 0, axis=1)
@@ -83,16 +96,19 @@ def _echelon(work: np.ndarray, p: int) -> np.ndarray:
             act = act[alive]
             leads = leads[alive]
             coef = coef[alive]
-        pidx = pivot_at[leads]
+            if base is not None:
+                base = base[alive]
+        keys = leads if base is None else base + leads
+        pidx = pivot_at[keys]
         if pidx.min() < 0:
             fresh = pidx < 0
-            new, order = np.unique(leads[fresh], return_index=True)
+            new, order = np.unique(keys[fresh], return_index=True)
             take = np.flatnonzero(fresh)[order]
             acc[count : count + len(new)] = act[take]
             lead[count : count + len(new)] = coef[take]
             pivot_at[new] = count + np.arange(len(new))
             count += len(new)
-            pidx = pivot_at[leads]
+            pidx = pivot_at[keys]
         piv = acc[pidx]
         np.subtract(p, coef, out=coef)
         np.multiply(piv, coef[:, None], out=piv)
@@ -101,7 +117,12 @@ def _echelon(work: np.ndarray, p: int) -> np.ndarray:
         quot = act // p
         quot *= p
         act -= quot
-    return acc[:count]
+    if tags is None:
+        return acc[:count]
+    keys = np.flatnonzero(pivot_at >= 0)
+    row_tags = np.empty(count, dtype=np.intp)
+    row_tags[pivot_at[keys]] = keys // ncols
+    return acc[:count], row_tags
 
 
 def _rank_chain(times_x, n: int, p: int, dtype) -> list[int]:

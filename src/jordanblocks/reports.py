@@ -69,9 +69,10 @@ def _verify(
     """Check the answer by a route that calls no rule.
 
     SL: `construction._split_adjoint_type` recomputes the irreducible type
-    from the memoized rank chains of the pieces V_r tensor V_s^* and two
-    invariants per block size, by elimination; it uses no rule, no
-    tensor-pair closed form and no matrix of more than (max d)^2 rows.
+    from the memoized ranks of the pieces V_r tensor V_s^*, each from graded
+    blocks at most min(r, s) wide, and two invariants per block size, by
+    elimination; it uses no rule, no tensor-pair closed form and no matrix
+    of more than (max d)^2 + 1 rows.
     Sp/SO: the carrier plus the other square must equal V tensor V*, which
     is rule(carrier) + other == adjoint_rule(V tensor V*) with the block
     changes all three rules share taken off both sides. It checks how the

@@ -1,9 +1,9 @@
 """Shared helpers for the test suite.
 
 Provides a seeded random partition generator, mod-p matrix powers, a dense
-matrix for the shifted tensor action, the graded elimination engine in
-either factor order (the referee of every closed form; the oracle itself
-eliminates no pair) with its tagged elimination, the power of p that the
+matrix for the shifted tensor action, the graded elimination engine of
+`construction` unmemoized and in either factor order (the referee of every
+closed form; the oracle itself eliminates no pair), the power of p that the
 reflection fold folds across, the ungraded rank chain for
 J_m (x) J_n that the graded engine is tested against, and the paper's proof
 model: closed forms for powers of X = u - 1 on dual and tensor vectors, the
@@ -19,7 +19,7 @@ import random
 import numpy as np
 import scipy.sparse as sparse
 
-from jordanblocks import JordanType, linalg, oracle
+from jordanblocks import JordanType, construction, linalg, oracle
 from jordanblocks.linalg import block_diagonal, dual_action, jordan_block, kronecker
 from jordanblocks.partitions import alpha_of
 
@@ -68,111 +68,15 @@ def tensor_x_matrix(t: JordanType, p: int) -> np.ndarray:
     return (full - np.eye(n2, dtype=np.int64)) % p
 
 
-def tagged_echelon(work: np.ndarray, p: int, tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`oracle._echelon` on independent problems at once: the basis rows of
-    the row space of work, and the tag of each.
-
-    tags, one non-negative integer per row, splits the rows: pivots are keyed
-    on (tag, leading column), so a row is only ever combined with pivots of
-    its own tag, and the basis rows of tag t span the row space of the input
-    rows of tag t. work must already be reduced mod p; it is overwritten.
-    One tagged call is an order of magnitude faster than one call per tag
-    when the problems are many and small, as the engine's are.
-    """
-    nrows, ncols = work.shape
-    nkeys = (int(tags.max()) + 1 if nrows else 1) * ncols
-    acc = np.zeros((min(nrows, nkeys), ncols), dtype=work.dtype)
-    lead = np.zeros(acc.shape[0], dtype=work.dtype)
-    acc_key = np.zeros(acc.shape[0], dtype=np.intp)
-    pivot_at = np.full(nkeys, -1, dtype=np.intp)
-    count = 0
-    act = work
-    base = tags * ncols
-    idx = np.arange(nrows)
-    while act.shape[0]:
-        leads = np.argmax(act != 0, axis=1)
-        coef = act[idx[: act.shape[0]], leads]
-        n_alive = int(np.count_nonzero(coef))
-        if n_alive == 0:
-            break
-        if n_alive < act.shape[0]:
-            alive = coef != 0
-            act = act[alive]
-            leads = leads[alive]
-            coef = coef[alive]
-            base = base[alive]
-        keys = base + leads
-        pidx = pivot_at[keys]
-        if pidx.min() < 0:
-            fresh = pidx < 0
-            new, order = np.unique(keys[fresh], return_index=True)
-            take = np.flatnonzero(fresh)[order]
-            acc[count : count + len(new)] = act[take]
-            lead[count : count + len(new)] = coef[take]
-            acc_key[count : count + len(new)] = new
-            pivot_at[new] = count + np.arange(len(new))
-            count += len(new)
-            pidx = pivot_at[keys]
-        piv = acc[pidx]
-        np.subtract(p, coef, out=coef)
-        np.multiply(piv, coef[:, None], out=piv)
-        np.multiply(act, lead[pidx][:, None], out=act)
-        np.add(act, piv, out=act)
-        quot = act // p
-        quot *= p
-        act -= quot
-    return acc[:count], acc_key[:count] // ncols
-
-
 def graded_engine(m: int, n: int, p: int) -> JordanType:
     """J_m (x) J_n from the ranks of the graded pieces of X^k, by elimination
-    alone: no closed form and no memo, with the factors in either order.
+    alone, with the factors in either order: the referee of every closed form.
 
-    On V_m (x) V_n = k[x, y]/(x^m, y^n), X = u (x) u - 1 is multiplication by
-    x + y + xy = x + v with v = y(1 + x). As 1 + x is a unit, the ring is
-    also k[x, v]/(x^m, v^n), graded by total degree, and X^k = (x + v)^k
-    maps R_d = span{x^i v^(d-i)} into R_(d+k) by
-    x^i v^j -> sum_a C(k, a) x^(i+a) v^(j+k-a), truncated. So rank X^k is the
-    sum over d of the ranks of these binomial blocks. A block's columns are
-    the exponents of x in R_(d+k), so it is at most min(m, n) wide; the rows
-    of every block of every power go through one `tagged_echelon` call,
-    tagged by (k, d), and no m*n-wide row is ever formed.
+    This is `construction._piece_ranks`, the engine `--verify` runs, with its
+    memo bypassed so that every call eliminates; V_n* has the type of V_n, so
+    its ranks on V_m (x) V_n* are those on V_m (x) V_n.
     """
-    m, n = min(m, n), max(m, n)
-    dtype = linalg._working_dtype(p, 2)  # refuses a too-large p before any arithmetic
-    top = m + n - 2  # highest degree, so X^(top+1) = 0
-    i, j = np.divmod(np.arange(m * n), n)
-    deg = i + j
-    order = np.argsort(deg, kind="stable")
-    i, deg = i[order], deg[order]
-    # X^k can be nonzero only on R_d with d <= top - k: a prefix in degree order
-    per_k = np.searchsorted(deg, top - np.arange(1, top + 1), side="right")
-    k = np.repeat(np.arange(1, top + 1), per_k)
-    src = np.arange(k.size) - np.repeat(np.cumsum(per_k) - per_k, per_k)
-    i, deg = i[src], deg[src]
-    # the exponent of v in the image stays below n while that of x is >= low
-    low = deg + k - (n - 1)
-
-    binom = np.zeros((top + 1, m), dtype=np.int64)
-    binom[0, 0] = 1
-    for r in range(1, top + 1):
-        binom[r] = binom[r - 1]
-        binom[r, 1:] += binom[r - 1, :-1]
-        binom[r] %= p
-    binom = binom.astype(dtype)
-
-    work = np.zeros((k.size, m), dtype=dtype)
-    rows = np.arange(k.size)
-    for a in range(m):
-        col = i + a
-        ok = (col < m) & (col >= low)
-        work[rows[ok], col[ok]] = binom[k[ok], a]
-
-    blocks, tags = np.unique(k * (top + 1) + deg, return_inverse=True)
-    _, pivot_tags = tagged_echelon(work, p, tags)
-    ranks = np.bincount(blocks[pivot_tags] // (top + 1), minlength=top + 2)
-    ranks[0] = m * n
-    return oracle._blocks_from_ranks(ranks.tolist())
+    return oracle._blocks_from_ranks(construction._piece_ranks.__wrapped__(min(m, n), max(m, n), p))
 
 
 def fold_power(m: int, n: int, p: int) -> int | None:

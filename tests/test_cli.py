@@ -422,3 +422,11 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "--type", "3"])
         assert exc.value.code == 2
+
+    def test_verify_help_names_each_groups_check(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "SL recomputes the irreducible type by elimination" in text
+        assert "Sp/SO check carrier + other square == V tensor V*" in text

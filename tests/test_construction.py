@@ -232,6 +232,22 @@ class TestSplitRoute:
                 want = jordan_type_of(kronecker(jordan_block(r, p), dual))
                 assert oracle._blocks_from_ranks(construction._piece_ranks(r, s, p)) == want, (r, s)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_pieces_eliminate_at_most_min_r_s_wide(self, monkeypatch, p):
+        # V_12 tensor V_12^* is 144-dimensional, but its graded blocks are
+        # at most 12 wide; the kernel is watched through both modules' names
+        widths = []
+
+        def recorded(work, *args):
+            widths.append(work.shape[1])
+            return echelon(work, *args)
+
+        echelon = oracle._echelon
+        monkeypatch.setattr(construction, "_echelon", recorded)
+        monkeypatch.setattr(oracle, "_echelon", recorded)
+        construction._piece_ranks.__wrapped__(12, 12, p)
+        assert widths and max(widths) <= 12, sorted(set(widths))
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_diagonal_invariants_follow_the_delta_ladder(self, p):
         # delta_nu certifies I in im X^(p^nu - 1), and its trace is d / p^nu

@@ -36,7 +36,7 @@ from jordanblocks.linalg import (
     symmetric_square,
 )
 
-from helpers import graded_engine, matrix_power, shift_chain_tensor_type, tagged_echelon
+from helpers import graded_engine, matrix_power, shift_chain_tensor_type
 
 PRIMES = [2, 3, 5, 7]
 
@@ -350,7 +350,7 @@ class TestEchelon:
     @pytest.mark.parametrize("p", TAGGED_PRIMES)
     @pytest.mark.parametrize("seed", range(3))
     def test_tags_split_the_elimination(self, p, seed):
-        # the referee's tagged elimination: random rows, some of them
+        # the graded engine's tagged elimination: random rows, some of them
         # rank-deficient products, under random tags
         rng = np.random.default_rng(seed)
         cols, ntags = 9, 7
@@ -359,13 +359,18 @@ class TestEchelon:
             rng.integers(0, p, size=(40, 2)) @ rng.integers(0, p, size=(2, cols)) % p,
             np.zeros((3, cols), dtype=np.int64),
         ])
+        dtype = linalg._working_dtype(p, 2)
         tags = rng.integers(0, ntags, size=work.shape[0])
-        got, got_tags = tagged_echelon(work.astype(linalg._working_dtype(p, 2)), p, tags)
+        got, got_tags = oracle._echelon(work.astype(dtype), p, tags)
         counts = np.bincount(got_tags, minlength=ntags)
         for t in range(ntags):
             want, piv = rref(work[tags == t], p)
             assert counts[t] == len(piv)
             assert np.array_equal(rref(got[got_tags == t], p)[0], want)
+        # one tag for every row is the untagged elimination, row for row
+        got, got_tags = oracle._echelon(work.astype(dtype), p, np.zeros_like(tags))
+        assert np.array_equal(got, oracle._echelon(work.astype(dtype), p))
+        assert not got_tags.any()
 
 
 def routed_cold(m: int, n: int, p: int) -> tuple[JordanType, int]:
