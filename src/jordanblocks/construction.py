@@ -164,7 +164,7 @@ def _diagonal_invariants(d: int, p: int) -> tuple[int, int]:
     probe[0, n + 1] = 1
     h, c = -1, 0
     while True:
-        basis = _echelon(np.vstack([rows, probe]), p)
+        basis, _ = _echelon(np.vstack([rows, probe]), p)
         off_image = basis[~basis[:, :n].any(axis=1), n:]
         if off_image.shape[0] != 1:
             raise AssertionError(

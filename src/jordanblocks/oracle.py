@@ -52,7 +52,7 @@ def _check_cap(side: int, max_entries: int) -> None:
 
 def _echelon(
     work: np.ndarray, p: int, tags: np.ndarray | None = None
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Row-echelon basis of the row space of work, with no division.
 
     work must already be reduced mod p; it is overwritten.
@@ -69,21 +69,23 @@ def _echelon(
     is an in-place floor division, multiply and subtract at every width,
     faster than np.mod in int8 to int32 and within about 10% of it in int64.
 
-    tags, one non-negative integer per row, solves independent problems in
-    one call: pivots are then keyed on (tag, leading column), so a row only
-    ever meets pivots of its own tag, and the call returns the basis with
-    the tag of each of its rows; the basis rows of tag t span the row space
-    of the input rows of tag t. One tagged call is an order of magnitude
-    faster than one call per tag when the problems are many and small.
+    tags, one non-negative integer per row (None: every row has tag 0),
+    solves independent problems in one call: pivots are keyed on (tag,
+    leading column), so a row only ever meets pivots of its own tag. It
+    returns the basis and the tag of each basis row; the rows of tag t span
+    the row space of the input rows of tag t. One tagged call is an order
+    of magnitude faster than one call per tag for many small problems.
     """
     nrows, ncols = work.shape
-    nkeys = ncols if tags is None else (int(tags.max()) + 1 if nrows else 1) * ncols
+    if tags is None:
+        tags = np.zeros(nrows, dtype=np.intp)
+    nkeys = (int(tags.max()) + 1 if nrows else 1) * ncols
     acc = np.zeros((min(nrows, nkeys), ncols), dtype=work.dtype)
     lead = np.zeros(acc.shape[0], dtype=work.dtype)
     pivot_at = np.full(nkeys, -1, dtype=np.intp)
     count = 0
     act = work
-    base = None if tags is None else tags * ncols
+    base = tags * ncols
     idx = np.arange(nrows)
     while act.shape[0]:
         leads = np.argmax(act != 0, axis=1)
@@ -96,9 +98,8 @@ def _echelon(
             act = act[alive]
             leads = leads[alive]
             coef = coef[alive]
-            if base is not None:
-                base = base[alive]
-        keys = leads if base is None else base + leads
+            base = base[alive]
+        keys = base + leads
         pidx = pivot_at[keys]
         if pidx.min() < 0:
             fresh = pidx < 0
@@ -117,8 +118,6 @@ def _echelon(
         quot = act // p
         quot *= p
         act -= quot
-    if tags is None:
-        return acc[:count]
     keys = np.flatnonzero(pivot_at >= 0)
     row_tags = np.empty(count, dtype=np.intp)
     row_tags[pivot_at[keys]] = keys // ncols
@@ -136,7 +135,7 @@ def _rank_chain(times_x, n: int, p: int, dtype) -> list[int]:
     ranks = [n]
     basis = np.eye(n, dtype=dtype)
     while True:
-        basis = _echelon(times_x(basis), p)
+        basis, _ = _echelon(times_x(basis), p)
         r = basis.shape[0]
         if r == ranks[-1] and r > 0:
             raise ValueError("matrix is not unipotent: rank of powers stalls above zero")
@@ -155,12 +154,6 @@ def _blocks_from_ranks(ranks: list[int]) -> JordanType:
         if mult:
             blocks[m] = mult
     return JordanType(blocks)
-
-
-def _add_copies(acc: dict[int, int], t: JordanType, copies: int) -> None:
-    """Add copies of every block of t into acc, a size -> multiplicity dict."""
-    for size, mult in t:
-        acc[size] = acc.get(size, 0) + mult * copies
 
 
 def _checked(t: JordanType, dim: int) -> JordanType:
@@ -272,39 +265,45 @@ def tensor_dual_type(
 
     Valid because every indecomposable summand is self-dual, so V* has the
     same block type as V. Each unordered pair of distinct sizes stands for
-    both orders, so its copies count twice.
+    both orders, so its copies count twice. p and the cap are checked once,
+    the cap on the widest pair (the top block with itself), before any pair
+    is read from the memo `_tensor_block_type`.
     """
     if not t:
         raise ValueError("empty Jordan type")
-    acc: dict[int, int] = {}
+    p = int(PrimeChar(p))
+    _check_cap(t.max_size**2, max_entries)
     blocks = list(t)
-    for i, (d1, m1) in enumerate(blocks):
-        for d2, m2 in blocks[i:]:
-            part = tensor_block_type(d1, d2, p, max_entries=max_entries)
-            _add_copies(acc, part, m1 * m2 * (1 if d1 == d2 else 2))
-    return _checked(JordanType(acc), t.dim**2)
+    pieces = [
+        (size, mult * m1 * m2 * (1 if d1 == d2 else 2))
+        for i, (d1, m1) in enumerate(blocks)
+        for d2, m2 in blocks[i:]
+        for size, mult in _tensor_block_type(d1, d2, p)
+    ]
+    return _checked(JordanType(pieces), t.dim**2)
 
 
 def _square_type(
     t: JordanType, p: int, alternating: bool, max_entries: int
 ) -> JordanType:
     """Exterior (alternating) or symmetric square of V: each block adds its
-    own square, each unordered pair of blocks their tensor product."""
+    own square (`_square_single`), each unordered pair of blocks their tensor
+    product (`_tensor_block_type`), each capped before it is read."""
     if not t:
         raise ValueError("empty Jordan type")
     p = int(PrimeChar(p))
     side = -1 if alternating else 1
-    acc: dict[int, int] = {}
+    pieces: list[tuple[int, int]] = []
     blocks = list(t)
     for i, (d1, m1) in enumerate(blocks):
         _check_cap(d1 * (d1 + side) // 2, max_entries)
-        _add_copies(acc, _square_single(d1, p, alternating), m1)
+        pieces += ((size, mult * m1) for size, mult in _square_single(d1, p, alternating))
         for d2, m2 in blocks[i:]:
-            pairs = m1 * (m1 - 1) // 2 if d2 == d1 else m1 * m2
-            if pairs:
-                part = tensor_block_type(d1, d2, p, max_entries=max_entries)
-                _add_copies(acc, part, pairs)
-    return _checked(JordanType(acc), t.dim * (t.dim + side) // 2)
+            copies = m1 * (m1 - 1) // 2 if d2 == d1 else m1 * m2
+            if copies:
+                _check_cap(d1 * d2, max_entries)
+                pieces += ((size, mult * copies) for size, mult in _tensor_block_type(d1, d2, p))
+    return _checked(JordanType(pieces), t.dim * (t.dim + side) // 2)
 
 
 def ext2_type(

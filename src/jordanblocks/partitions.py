@@ -70,7 +70,9 @@ class JordanType:
     Values are immutable; `+` is multiset union. Iteration yields (size, mult)
     pairs in ascending size order, which is also the canonical rendering order.
     Sizes and multiplicities must be integers (numpy integers included): a
-    float or a string is refused, not truncated or parsed.
+    float or a string is refused, not truncated or parsed. The constructor
+    is the one place where multiplicities add up: a repeated size gets their
+    sum, so `+` and the oracle's sums over pairs of blocks pass pairs as is.
     """
 
     __slots__ = ("_pairs", "_dim")
@@ -141,10 +143,7 @@ class JordanType:
     def __add__(self, other: "JordanType") -> "JordanType":
         if not isinstance(other, JordanType):
             return NotImplemented
-        merged = self.blocks
-        for s, m in other:
-            merged[s] = merged.get(s, 0) + m
-        return JordanType(merged)
+        return JordanType(self._pairs + other._pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JordanType):

@@ -90,15 +90,14 @@ def two_level_rule(
                 row = coef.setdefault(big, {})
                 for small, kc in bottom:
                     row[small] = row.get(small, 0) + ka * kc
-    blocks: dict[int, int] = {}
+    blocks: list[tuple[int, int]] = []
     while coef:
         big = max(coef)
         for small, k in coef.pop(big).items():
             if k < 0:
                 raise AssertionError(f"negative coefficient {k} on W_{big} V_{small} for ({m}, {n}) at p = {p}")
             if k:
-                size = (big - 1) * q + small
-                blocks[size] = blocks.get(size, 0) + k
+                blocks.append(((big - 1) * q + small, k))
                 if big > 1 and small < q:
                     row = coef.setdefault(big - 1, {})
                     row[q - small] = row.get(q - small, 0) - k

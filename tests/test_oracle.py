@@ -19,6 +19,7 @@ from jordanblocks import (
     OracleCapError,
     ext2_type,
     jordan_type_of,
+    partitions_of,
     sym2_type,
     tensor_block_type,
     tensor_dual_type,
@@ -66,6 +67,9 @@ TAGGED_PRIMES = [2, 7, 131, 10007, 1000003]
 
 # largest single block whose squares are checked against the explicit matrices
 SQUARE_RULE_TOP = {3: 40, 5: 40, 7: 30, 11: 30, 13: 30}
+
+# a cap no test type reaches, for the identities past elimination's reach
+UNCAPPED = 10**30
 
 
 def unipotent_of_type(t: JordanType, p: int) -> PrimeFieldMatrix:
@@ -306,6 +310,60 @@ class TestRouting:
         finally:
             oracle._tensor_block_type.cache_clear()
 
+    def test_carriers_never_call_the_public_lookup(self, monkeypatch):
+        # V (x) V* and both squares read their pairs from the memo too
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"a carrier called tensor_block_type{args}")
+
+        monkeypatch.setattr(oracle, "tensor_block_type", refuse)
+        for p in PRIMES:
+            for n in range(1, 13):
+                for t in partitions_of(n):
+                    assert tensor_dual_type(t, p).dim == n * n
+                    assert ext2_type(t, p).dim == n * (n - 1) // 2
+                    if p > 2:
+                        assert sym2_type(t, p).dim == n * (n + 1) // 2
+
+    def test_caps_refuse_exactly_the_widest_pieces(self):
+        # a carrier is refused exactly when its widest piece's side, squared,
+        # exceeds the cap: for V (x) V* the largest block with itself, for a
+        # square the larger of the top block's own square and the widest pair
+        # it sums. Caps on both sides of 196^2, 210^2 and 225^2, and of each
+        # carrier's own widest piece, so that every carrier is both refused
+        # and answered
+        fixed = [side * side + off for side in (196, 210, 225) for off in (-1, 0)]
+        wrong = []
+        for n in range(1, 17):
+            for t in partitions_of(n):
+                sizes = t.sizes
+                top = sizes[-1]
+                if t.multiplicity(top) > 1:
+                    pair = top * top
+                else:
+                    pair = sizes[-2] * top if len(sizes) > 1 else 0
+                widest = {
+                    tensor_dual_type: top * top,
+                    ext2_type: max(top * (top - 1) // 2, pair),
+                    sym2_type: max(top * (top + 1) // 2, pair),
+                }
+                for carrier, side in widest.items():
+                    for cap in fixed + [side * side - 1, side * side]:
+                        try:
+                            carrier(t, 3, max_entries=cap)
+                            refused = False
+                        except OracleCapError:
+                            refused = True
+                        if refused != (side * side > cap):
+                            wrong.append((carrier.__name__, str(t), cap))
+        assert wrong == []
+
+    def test_refused_tensor_dual_reads_no_pair(self):
+        # the cap is checked on the widest pair, (15, 15), before any pair is read
+        before = oracle._tensor_block_type.cache_info()
+        with pytest.raises(OracleCapError, match="225x225"):
+            tensor_dual_type(JordanType({14: 1, 15: 1}), 3)
+        assert oracle._tensor_block_type.cache_info() == before
+
 
 class TestWorkingDtype:
     @pytest.mark.parametrize(
@@ -343,7 +401,7 @@ class TestEchelon:
                 b = rng.integers(0, p, size=(inner, cols))
                 work = a @ b % p
             want, piv = rref(work, p)
-            got = oracle._echelon(work.astype(dtype), p)
+            got, _ = oracle._echelon(work.astype(dtype), p)
             assert got.shape[0] == len(piv)
             assert np.array_equal(rref(got, p)[0], want)
 
@@ -369,8 +427,9 @@ class TestEchelon:
             assert np.array_equal(rref(got[got_tags == t], p)[0], want)
         # one tag for every row is the untagged elimination, row for row
         got, got_tags = oracle._echelon(work.astype(dtype), p, np.zeros_like(tags))
-        assert np.array_equal(got, oracle._echelon(work.astype(dtype), p))
-        assert not got_tags.any()
+        want, want_tags = oracle._echelon(work.astype(dtype), p)
+        assert np.array_equal(got, want)
+        assert not got_tags.any() and not want_tags.any()
 
 
 def routed_cold(m: int, n: int, p: int) -> tuple[JordanType, int]:
@@ -431,17 +490,26 @@ class TestTensorDualType:
 
 
 class TestSquareTypes:
-    @pytest.mark.parametrize("blocks, p", [({2: 1, 3: 1}, 3), ({4: 1}, 5), ({1: 2, 2: 1}, 7)])
-    def test_exterior_square_matches_matrices(self, blocks, p):
-        t = JordanType(blocks)
-        U = unipotent_of_type(t, p)
-        assert jordan_type_of(exterior_square(U)) == ext2_type(t, p)
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_exterior_square_matches_matrices(self, p):
+        # every partition of 2 <= n <= 10, 137 types
+        wrong = [
+            str(t)
+            for n in range(2, 11)
+            for t in partitions_of(n)
+            if jordan_type_of(exterior_square(unipotent_of_type(t, p))) != ext2_type(t, p)
+        ]
+        assert wrong == []
 
-    @pytest.mark.parametrize("blocks, p", [({2: 1, 3: 1}, 3), ({4: 1}, 5), ({1: 2, 2: 1}, 7)])
-    def test_symmetric_square_matches_matrices(self, blocks, p):
-        t = JordanType(blocks)
-        U = unipotent_of_type(t, p)
-        assert jordan_type_of(symmetric_square(U)) == sym2_type(t, p)
+    @pytest.mark.parametrize("p", [p for p in PRIMES if p > 2])
+    def test_symmetric_square_matches_matrices(self, p):
+        wrong = [
+            str(t)
+            for n in range(2, 11)
+            for t in partitions_of(n)
+            if jordan_type_of(symmetric_square(unipotent_of_type(t, p))) != sym2_type(t, p)
+        ]
+        assert wrong == []
 
     @pytest.mark.parametrize("p", sorted(SQUARE_RULE_TOP))
     def test_single_block_squares_match_explicit_squares(self, p):
@@ -486,3 +554,61 @@ class TestSquareTypes:
         t = JordanType({2: 1, 3: 1})
         U = unipotent_of_type(t, 2)
         assert jordan_type_of(exterior_square(U)) == ext2_type(t, 2)
+
+
+def product(s: JordanType, t: JordanType, p: int) -> JordanType:
+    """s (x) t, summed over pairs of blocks with the public pair lookup."""
+    return JordanType(
+        (size, mult * m1 * m2)
+        for d1, m1 in s
+        for d2, m2 in t
+        for size, mult in tensor_block_type(d1, d2, p, max_entries=UNCAPPED)
+    )
+
+
+@pytest.fixture
+def cold_memo():
+    # the identities fill the memo with thousands of large pairs: start
+    # from an empty one and leave it empty
+    oracle._tensor_block_type.cache_clear()
+    oracle._square_single.cache_clear()
+    yield
+    oracle._tensor_block_type.cache_clear()
+    oracle._square_single.cache_clear()
+
+
+class TestProductIdentities:
+    """Identities that tie the closed forms to each other at sizes no
+    elimination referee reaches (Glasby-Praeger-Xia, J. Algebra 2016), from
+    the public carriers and pair lookup alone."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_tensor_product_is_associative(self, p, cold_memo):
+        # (V_a (x) V_b) (x) V_c = V_a (x) (V_b (x) V_c), seeded sizes up to 1000
+        rng = random.Random(p)
+        for _ in range(100):
+            a, b, c = (rng.randint(1, 1000) for _ in range(3))
+            ab = tensor_block_type(a, b, p, max_entries=UNCAPPED)
+            bc = tensor_block_type(b, c, p, max_entries=UNCAPPED)
+            assert ab.block_count == min(a, b), (a, b, p)
+            assert bc.block_count == min(b, c), (b, c, p)
+            left = product(ab, JordanType({c: 1}), p)
+            right = product(JordanType({a: 1}), bc, p)
+            assert left == right, (a, b, c, p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_squares_of_a_product(self, p, cold_memo):
+        # for V = V_a and W = V_b, seeded sizes up to 200:
+        # ext2(V (x) W) = ext2 V (x) S2 W + S2 V (x) ext2 W and
+        # S2(V (x) W) = S2 V (x) S2 W + ext2 V (x) ext2 W
+        rng = random.Random(p)
+        for _ in range(30):
+            a, b = rng.randint(1, 200), rng.randint(1, 200)
+            ab = tensor_block_type(a, b, p, max_entries=UNCAPPED)
+            v, w = JordanType({a: 1}), JordanType({b: 1})
+            ext_v, ext_w = (ext2_type(x, p, max_entries=UNCAPPED) for x in (v, w))
+            sym_v, sym_w = (sym2_type(x, p, max_entries=UNCAPPED) for x in (v, w))
+            want = product(ext_v, sym_w, p) + product(sym_v, ext_w, p)
+            assert ext2_type(ab, p, max_entries=UNCAPPED) == want, ("ext2", a, b, p)
+            want = product(sym_v, sym_w, p) + product(ext_v, ext_w, p)
+            assert sym2_type(ab, p, max_entries=UNCAPPED) == want, ("sym2", a, b, p)
