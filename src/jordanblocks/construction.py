@@ -9,7 +9,8 @@ The SL verify route builds no matrix: it sums the same module's ranks
 summand by summand, each piece V_r tensor V_s^* from the graded blocks of
 X^k on k[x, v]/(x^r, v^s), at most min(r, s) wide and eliminated in one
 tagged call, corrects the diagonal part by two invariants per block size,
-and reads the blocks off the sum once.
+counted on the diagonals of End(V_d) in one tagged call d + 2 wide, and
+reads the blocks off the sum once.
 """
 
 from __future__ import annotations
@@ -62,28 +63,22 @@ def build_adjoint_action(t: JordanType, p: int) -> PrimeFieldMatrix:
     return PrimeFieldMatrix(reduced[np.ix_(keep, keep)], p)
 
 
-def _times_x(rows: np.ndarray, d: int, p: int) -> np.ndarray:
-    """rows times X = (J_d tensor J_d^-T) - 1 on End(V_d) = V_d tensor V_d^*, mod p.
-
-    A row of d*d coefficients, reshaped to (d, d), is multiplied by J_d along
-    the first axis, a shift-add (e_i -> e_i + e_(i-1)), and by the
-    contragredient J_d^-T along the second, an alternating prefix sum; the
-    identity is subtracted. The sums run in int64, where they stay below
-    2pd in absolute value; the result comes back reduced, in the dtype of
-    rows. Its one caller, `_diagonal_invariants`, reads the trace and the
-    identity of End(V_d) in this basis, not in the graded one of
-    `_piece_ranks`.
+def _binomial_rows(k: np.ndarray, shift: np.ndarray, width: int, p: int, dtype) -> np.ndarray:
+    """One row per pair (k[j], shift[j]): the coefficients of x^0 to
+    x^(width-1) in (1 + x)^k x^shift mod p, so C(k, c - shift) at column c
+    and 0 left of shift. Both graded kernels build their binomial
+    blocks here. Pascal's rows are laid right of width zeros, and each
+    output row is a window of width columns read from shift places left of
+    them.
     """
-    a = rows.reshape(-1, d, d).astype(np.int64)
-    sign = 1 - 2 * (np.arange(d) & 1)
-    b = a.copy()
-    b[:, :-1] += a[:, 1:]
-    b *= sign
-    np.cumsum(b, axis=2, out=b)
-    b *= sign
-    b -= a
-    np.mod(b, p, out=b)
-    return b.reshape(rows.shape).astype(rows.dtype)
+    pascal = np.zeros((int(k.max(initial=0)) + 1, 2 * width), dtype=np.int64)
+    pascal[0, width] = 1
+    for row in range(1, pascal.shape[0]):
+        pascal[row] = pascal[row - 1]
+        pascal[row, width + 1 :] += pascal[row - 1, width:-1]
+        pascal[row] %= p
+    windows = np.lib.stride_tricks.sliding_window_view(pascal.astype(dtype), width, axis=1)
+    return windows[k, width - shift]
 
 
 @lru_cache(maxsize=None)
@@ -114,23 +109,11 @@ def _piece_ranks(r: int, s: int, p: int) -> tuple[int, ...]:
     k = np.repeat(np.arange(1, top + 1), per_k)
     src = np.arange(k.size) - np.repeat(np.cumsum(per_k) - per_k, per_k)
     i, deg = i[src], deg[src]
+
+    work = _binomial_rows(k, i, r, p, dtype)
     # the exponent of v in the image stays below s while that of x is >= low
     low = deg + k - (s - 1)
-
-    binom = np.zeros((top + 1, r), dtype=np.int64)
-    binom[0, 0] = 1
-    for row in range(1, top + 1):
-        binom[row] = binom[row - 1]
-        binom[row, 1:] += binom[row - 1, :-1]
-        binom[row] %= p
-    binom = binom.astype(dtype)
-
-    work = np.zeros((k.size, r), dtype=dtype)
-    rows = np.arange(k.size)
-    for a in range(r):
-        col = i + a
-        ok = (col < r) & (col >= low)
-        work[rows[ok], col[ok]] = binom[k[ok], a]
+    work[np.arange(r) < low[:, None]] = 0
 
     blocks, tags = np.unique(k * (top + 1) + deg, return_inverse=True)
     _, pivot_tags = _echelon(work, p, tags)
@@ -142,46 +125,46 @@ def _piece_ranks(r: int, s: int, p: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _diagonal_invariants(d: int, p: int) -> tuple[int, int]:
     """(h, c) for End(V_d) = V_d tensor V_d^*, with eps the trace:
-    h = max{k : I in im X^k}, and c = eps(w) for any w with w X^h = I.
+    h = max{k : I in im X^k}, and c = eps(w) for any w with X^h(w) = I.
 
-    Each row is (w X^k, eps(w), 0) for some w in End(V_d), and one probe row
-    (I, 0, 1) is echelonized with them. While I is in im X^k, eps kills
-    ker X^k (the trace pairing is u-invariant), so exactly one output row
-    has a zero image part: a multiple of (0, eps(w), -1) with w X^k = I.
-    Once I leaves im X^k, that row is (0, a, 0), a vector of ker X^k that
-    eps does not kill. The next power zeroes the last column and multiplies
-    the image part by X; the probe adds nothing there, since I X = 0. Each
-    matrix has d^2 + 1 rows and d^2 + 2 columns.
+    With N = u - 1, X(A) = u A u^-1 - A = [N, A] u^-1, and right
+    multiplication by u^-1 is invertible and commutes with D = ad N, so
+    im X^k = im D^k and X^k(w) = I exactly when D^k(w u^-k) = I. Give E_ij
+    the degree j - i: D raises it by 1 and I has degree 0, so I is in
+    im D^k exactly when it is in D^k(R_-k), R_-k = span{E_(t+k, t)} of
+    d - k elements. For w' in R_-k, eps(w' u^k) keeps only the degree-0
+    term tr(w' N^k), the sum of the coefficients of w'. In the basis
+    (-1)^j E_ij, D acts on coordinates as A -> NA + AN, which takes
+    E_(t+k, t) to sum_b C(k, b) E_(t+b, t+b), a row of `_binomial_rows`;
+    there I has coordinates sign = ((-1)^j), and eps(E_(t+k, t)) = sign[t].
+
+    Each power k gets rows (D^k E, eps(E), 0) for E in R_-k and one probe
+    (I, 0, 1), all tagged by k and echelonized in one call d + 2 wide. eps
+    kills ker D^k while I is in im D^k (the trace pairing is u-invariant),
+    so a row (0, e, m) with m != 0 lies in the span of tag k exactly when
+    I is in im D^k, and then c = -e / m. R_-k = 0 for k >= d, so the
+    powers 0..d-1 cover every k with I in the image.
     """
-    n = d * d
     dtype = _working_dtype(p, 2)
-    ident = np.eye(d, dtype=dtype).ravel()
-    rows = np.zeros((n, n + 2), dtype=dtype)
-    rows[:, :n] = np.eye(n, dtype=dtype)
-    rows[:, n] = ident
-    probe = np.zeros((1, n + 2), dtype=dtype)
-    probe[0, :n] = ident
-    probe[0, n + 1] = 1
-    h, c = -1, 0
-    while True:
-        basis, _ = _echelon(np.vstack([rows, probe]), p)
-        off_image = basis[~basis[:, :n].any(axis=1), n:]
-        if off_image.shape[0] != 1:
-            raise AssertionError(
-                f"power {h + 1}: {off_image.shape[0]} rows with zero image part, expected 1"
-            )
-        eps, m = (int(v) for v in off_image[0])
-        if m == 0:
-            return h, c
-        h, c = h + 1, -eps * pow(m, -1, p) % p
-        rows = np.zeros_like(basis)
-        rows[:, :n] = _times_x(basis[:, :n], d, p)
-        rows[:, n] = basis[:, n]
+    per_k = np.arange(d, 0, -1)  # R_-k has d - k elements
+    k = np.repeat(np.arange(d), per_k)
+    t = np.arange(k.size) - np.repeat(np.cumsum(per_k) - per_k, per_k)
+    sign = (1 - 2 * (np.arange(d) & 1)) % p
+    work = np.zeros((k.size + d, d + 2), dtype=dtype)
+    work[: k.size, :d] = _binomial_rows(k, t, d, p, dtype)
+    work[: k.size, d] = sign[t]
+    work[k.size :, :d] = sign
+    work[k.size :, d + 1] = 1
+    basis, tags = _echelon(work, p, np.concatenate([k, np.arange(d)]))
+    member = ~basis[:, :d].any(axis=1) & (basis[:, d + 1] != 0)
+    (row,) = np.flatnonzero(member & (tags == tags[member].max()))
+    e, m = (int(v) for v in basis[row, d:])
+    return int(tags[row]), -e * pow(m, -1, p) % p
 
 
 def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
     """Jordan type of u on the adjoint module L, summand by summand, with no
-    matrix larger than (max d)^2 square.
+    elimination wider than max d + 2 columns.
 
     V tensor V* is the sum of the u-invariant pieces V_a tensor V_b^* over
     ordered pairs of blocks, so its ranks of X^k are sums of the pieces'

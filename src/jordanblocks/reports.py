@@ -71,8 +71,8 @@ def _verify(
     SL: `construction._split_adjoint_type` recomputes the irreducible type
     from the memoized ranks of the pieces V_r tensor V_s^*, each from graded
     blocks at most min(r, s) wide, and two invariants per block size, by
-    elimination; it uses no rule, no tensor-pair closed form and no matrix
-    of more than (max d)^2 + 1 rows.
+    elimination; it uses no rule, no tensor-pair closed form and no
+    elimination wider than max d + 2 columns.
     Sp/SO: the carrier plus the other square must equal V tensor V*, which
     is rule(carrier) + other == adjoint_rule(V tensor V*) with the block
     changes all three rules share taken off both sides. It checks how the

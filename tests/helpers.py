@@ -5,7 +5,9 @@ matrix for the shifted tensor action, the graded elimination engine of
 `construction` unmemoized and in either factor order (the referee of every
 closed form; the oracle itself eliminates no pair), the power of p that the
 reflection fold folds across, the ungraded rank chain for
-J_m (x) J_n that the graded engine is tested against, and the paper's proof
+J_m (x) J_n that the graded engine is tested against, the chained
+elimination over End(V_d) that the graded per-size invariants are tested
+against, and the paper's proof
 model: closed forms for powers of X = u - 1 on dual and tensor vectors, the
 delta_beta vectors, and the check that X walks them down the ladder.
 
@@ -108,6 +110,63 @@ def shift_chain_tensor_type(m: int, n: int, p: int) -> JordanType:
     # each product entry sums at most three shifted entries
     ranks = oracle._rank_chain(times_x, m * n, p, linalg._working_dtype(p, 3))
     return oracle._blocks_from_ranks(ranks)
+
+
+def chained_diagonal_invariants(d: int, p: int) -> tuple[int, int]:
+    """(h, c) of `construction._diagonal_invariants` by a chain of
+    eliminations over all of End(V_d) = V_d (x) V_d*, with eps the trace:
+    h = max{k : I in im X^k}, and c = eps(w) for any w with w X^h = I.
+
+    Each row is (w X^k, eps(w), 0) for some w in End(V_d), and one probe row
+    (I, 0, 1) is echelonized with them. While I is in im X^k, eps kills
+    ker X^k (the trace pairing is u-invariant), so exactly one output row
+    has a zero image part: a multiple of (0, eps(w), -1) with w X^k = I.
+    Once I leaves im X^k, that row is (0, a, 0), a vector of ker X^k that
+    eps does not kill. The next power zeroes the last column and multiplies
+    the image part by X = (J_d (x) J_d^-T) - 1; the probe adds nothing
+    there, since I X = 0. Each matrix has d^2 + 1 rows and d^2 + 2 columns,
+    in the basis e_i (x) e_j* rather than the graded one, so this shares no
+    step with the graded kernel but `_echelon`.
+    """
+
+    def times_x(rows: np.ndarray) -> np.ndarray:
+        # J_d along the first axis is a shift-add, the contragredient J_d^-T
+        # along the second an alternating prefix sum; sums stay below 2pd
+        a = rows.reshape(-1, d, d).astype(np.int64)
+        sign = 1 - 2 * (np.arange(d) & 1)
+        b = a.copy()
+        b[:, :-1] += a[:, 1:]
+        b *= sign
+        np.cumsum(b, axis=2, out=b)
+        b *= sign
+        b -= a
+        np.mod(b, p, out=b)
+        return b.reshape(rows.shape).astype(rows.dtype)
+
+    n = d * d
+    dtype = linalg._working_dtype(p, 2)
+    ident = np.eye(d, dtype=dtype).ravel()
+    rows = np.zeros((n, n + 2), dtype=dtype)
+    rows[:, :n] = np.eye(n, dtype=dtype)
+    rows[:, n] = ident
+    probe = np.zeros((1, n + 2), dtype=dtype)
+    probe[0, :n] = ident
+    probe[0, n + 1] = 1
+    h, c = -1, 0
+    while True:
+        basis, _ = oracle._echelon(np.vstack([rows, probe]), p)
+        off_image = basis[~basis[:, :n].any(axis=1), n:]
+        if off_image.shape[0] != 1:
+            raise AssertionError(
+                f"power {h + 1}: {off_image.shape[0]} rows with zero image part, expected 1"
+            )
+        eps, m = (int(v) for v in off_image[0])
+        if m == 0:
+            return h, c
+        h, c = h + 1, -eps * pow(m, -1, p) % p
+        rows = np.zeros_like(basis)
+        rows[:, :n] = times_x(basis[:, :n])
+        rows[:, n] = basis[:, n]
 
 
 def step_formula(i: int, j: int, n: int, beta: int, p: int) -> dict[tuple[int, int], int]:

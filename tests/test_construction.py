@@ -206,10 +206,25 @@ def verify_peak(t: JordanType, p: int) -> tuple[bool, int]:
     return report.verified, peak
 
 
+@pytest.fixture
+def echelon_widths(monkeypatch):
+    """The width of every `_echelon` call, watched through both modules' names."""
+    widths = []
+    echelon = oracle._echelon
+
+    def recorded(work, *args):
+        widths.append(work.shape[1])
+        return echelon(work, *args)
+
+    monkeypatch.setattr(construction, "_echelon", recorded)
+    monkeypatch.setattr(oracle, "_echelon", recorded)
+    return widths
+
+
 class TestVerifyMemory:
     @pytest.mark.parametrize("blocks", [{1: 200}, {2: 10, 3: 20}], ids=["1^200", "2^10,3^20"])
     def test_many_small_blocks_stay_small(self, blocks):
-        # only pieces of at most (max d)^2 rows are built, never n^2-square
+        # only the pieces and the per-size invariants are eliminated, never n^2-square
         verified, peak = verify_peak(JordanType(blocks), 2)
         assert verified is True
         assert peak < 8_000_000
@@ -222,6 +237,16 @@ class TestVerifyMemory:
         assert verified is True
         assert peak < 8_000_000
 
+    def test_the_per_size_invariants_stay_small(self):
+        # End(V_40) is 1600-dimensional; its diagonals give 860 rows 42 wide
+        tracemalloc.start()
+        try:
+            assert construction._diagonal_invariants.__wrapped__(40, 2) == (7, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
 
 class TestSplitRoute:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -233,25 +258,29 @@ class TestSplitRoute:
                 assert oracle._blocks_from_ranks(construction._piece_ranks(r, s, p)) == want, (r, s)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-    def test_pieces_eliminate_at_most_min_r_s_wide(self, monkeypatch, p):
+    def test_pieces_eliminate_at_most_min_r_s_wide(self, echelon_widths, p):
         # V_12 tensor V_12^* is 144-dimensional, but its graded blocks are
-        # at most 12 wide; the kernel is watched through both modules' names
-        widths = []
-
-        def recorded(work, *args):
-            widths.append(work.shape[1])
-            return echelon(work, *args)
-
-        echelon = oracle._echelon
-        monkeypatch.setattr(construction, "_echelon", recorded)
-        monkeypatch.setattr(oracle, "_echelon", recorded)
+        # at most 12 wide
         construction._piece_ranks.__wrapped__(12, 12, p)
-        assert widths and max(widths) <= 12, sorted(set(widths))
+        assert echelon_widths and max(echelon_widths) <= 12, sorted(set(echelon_widths))
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_diagonal_invariants_eliminate_once_at_most_d_plus_2_wide(self, echelon_widths, p):
+        # End(V_24) is 576-dimensional, but its diagonals give rows 26 wide
+        construction._diagonal_invariants.__wrapped__(24, p)
+        assert len(echelon_widths) == 1 and echelon_widths[0] <= 26, echelon_widths
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_diagonal_invariants_match_the_chained_elimination(self, p):
+        # the graded kernel against eliminations over all of End(V_d)
+        for d in range(1, 25):
+            want = helpers.chained_diagonal_invariants(d, p)
+            assert construction._diagonal_invariants.__wrapped__(d, p) == want, d
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_diagonal_invariants_follow_the_delta_ladder(self, p):
         # delta_nu certifies I in im X^(p^nu - 1), and its trace is d / p^nu
-        for d in range(1, 25):
+        for d in range(1, 41):
             q = p ** nu_p(d, p)
             assert construction._diagonal_invariants(d, p) == (q - 1, d // q % p), d
 
@@ -279,8 +308,9 @@ class TestSplitRoute:
                     monkeypatch.setattr(binder, name, forbidden)
         for memo in (construction._piece_ranks, construction._diagonal_invariants):
             memo.cache_clear()
-        for p in (2, 3):
-            for n in range(2, 7):
+        # at p = 5, type 5 has h = 4 with p | n, so the trace correction c counts
+        for p in (2, 3, 5):
+            for n in range(2, 8):
                 for t in partitions_of(n):
                     want = jordan_type_of(build_adjoint_action(t, p))
                     assert construction._split_adjoint_type(t, p) == want, (t.render(), p)
