@@ -24,6 +24,7 @@ from .rules import _DOMAINS, GroupContext, validate_classical
 __all__ = ["main"]
 
 _GROUPS = {"sl": "SL", "sp": "Sp", "so": "SO"}
+_MODULES = {"tensor": tensor_dual_type, "ext2": ext2_type, "sym2": sym2_type}
 
 FixtureRow = tuple[int, int, JordanType, JordanType, JordanType]
 
@@ -70,7 +71,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     verdict = validate_classical(t, ctx)
     if not verdict.ok:  # before any carrier, whose cap would hide the reason
         raise ValueError(verdict.reason)
-    report = build_report(t, ctx)
+    # only the printed module: the report's carrier may pass a cap that it does not
+    report = build_report(t, ctx) if args.rep == "irr" else None
+    shown = report.irreducible if args.rep == "irr" else _MODULES[args.rep](t, ctx.p)
     if args.verify:
         try:  # the same answer was just built, so only the check can refuse here
             report = build_report(t, ctx, verify=True)
@@ -79,14 +82,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:
-        if args.rep == "tensor":
-            shown = tensor_dual_type(t, ctx.p)
-        elif args.rep == "ext2":
-            shown = ext2_type(t, ctx.p)
-        elif args.rep == "sym2":
-            shown = sym2_type(t, ctx.p)
-        else:
-            shown = report.irreducible
         print(shown.render())
         if args.verify:
             print("verified: ok" if report.verified else "verified: MISMATCH")

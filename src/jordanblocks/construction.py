@@ -5,12 +5,11 @@ the contragredient action. `build_adjoint_action` restricts u tensor dual(u)
 to the kernel of the evaluation form (modulo the invariant line when p
 divides dim V) as one explicit matrix, the tests' whole-module referee.
 
-The SL verify route builds no matrix: it sums the same module's ranks
-summand by summand, each piece V_r tensor V_s^* from the graded blocks of
-X^k on k[x, v]/(x^r, v^s), at most min(r, s) wide and eliminated in one
-tagged call, corrects the diagonal part by two invariants per block size,
-counted on the diagonals of End(V_d) in one tagged call d + 2 wide, and
-reads the blocks off the sum once.
+The SL verify route builds no matrix: it sums the module's ranks piece by
+piece, each V_r tensor V_s^* from the graded blocks of X^k on
+k[x, v]/(x^r, v^s) in one tagged call at most min(r, s) wide (d + 2 for
+End(V_d), which also counts the two invariants per block size that correct
+the diagonal part), and reads the blocks off the sum once.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ def build_adjoint_action(t: JordanType, p: int) -> PrimeFieldMatrix:
 def _binomial_rows(k: np.ndarray, shift: np.ndarray, width: int, p: int, dtype) -> np.ndarray:
     """One row per pair (k[j], shift[j]): the coefficients of x^0 to
     x^(width-1) in (1 + x)^k x^shift mod p, so C(k, c - shift) at column c
-    and 0 left of shift. Both graded kernels build their binomial
-    blocks here. Pascal's rows are laid right of width zeros, and each
+    and 0 left of shift. The graded kernel builds its binomial blocks
+    here. Pascal's rows are laid right of width zeros, and each
     output row is a window of width columns read from shift places left of
     them.
     """
@@ -82,9 +81,10 @@ def _binomial_rows(k: np.ndarray, shift: np.ndarray, width: int, p: int, dtype) 
 
 
 @lru_cache(maxsize=None)
-def _piece_ranks(r: int, s: int, p: int) -> tuple[int, ...]:
+def _piece_ranks(r: int, s: int, p: int) -> tuple[tuple[int, ...], tuple[int, int] | None]:
     """Ranks of X^0, X^1, ... down to the first 0 on V_r tensor V_s^*, r <= s,
-    from graded blocks at most r wide.
+    from graded blocks at most r wide, and, when r == s = d, the invariants
+    (h, c) of End(V_d) from the same call; None when r != s.
 
     V_s^* is isomorphic to V_s as a k[u]-module, so X^k has the same ranks
     on V_r tensor V_s^* as on V_r tensor V_s = k[x, y]/(x^r, y^s). There
@@ -97,6 +97,19 @@ def _piece_ranks(r: int, s: int, p: int) -> tuple[int, ...]:
     are the exponents of x in R_(d+k), so it is at most r = min(r, s) wide;
     the rows of every block of every power go through one `_echelon` call,
     tagged by (k, d), and no r*s-wide row is ever formed.
+
+    On End(V_d), with eps the trace, h = max{k : I in im X^k} and c = eps(w)
+    for any w with X^h(w) = I. X(A) = [N, A] u^-1 with N = u - 1, so
+    X^k(w) = I exactly when D^k(w u^-k) = I, D = ad N. In the basis
+    (-1)^j E_ij, read as x^j v^(d-1-i), D is multiplication by x + v, so
+    the same blocks serve: I has degree d - 1 and coordinates
+    sign = ((-1)^i), and the source w' = x^i v^(d-1-k-i) of block
+    (k, d - 1 - k) has eps(w' u^k) = sign[i]. That block's rows carry
+    (image, eps, 0), and it gets a probe (I, 0, 1) for each 1 <= k < d.
+    While I is in im X^k, eps kills ker X^k (the trace pairing is
+    u-invariant), so the block holds a row (0, e, m), m != 0, and
+    c = -e / m; for h < k < d the probe adds an image pivot, taken off
+    again. With no such row, h = 0 and X^0 = 1 gives (0, -tr I, 1).
     """
     dtype = _working_dtype(p, 2)  # refuses a too-large p before any arithmetic
     top = r + s - 2  # highest degree, so X^(top+1) = 0
@@ -110,56 +123,34 @@ def _piece_ranks(r: int, s: int, p: int) -> tuple[int, ...]:
     src = np.arange(k.size) - np.repeat(np.cumsum(per_k) - per_k, per_k)
     i, deg = i[src], deg[src]
 
-    work = _binomial_rows(k, i, r, p, dtype)
+    probes = np.arange(1, r) if r == s else np.arange(0)
+    work = np.zeros((k.size + probes.size, r + 2 * (r == s)), dtype=dtype)
+    work[: k.size, :r] = _binomial_rows(k, i, r, p, dtype)
     # the exponent of v in the image stays below s while that of x is >= low
     low = deg + k - (s - 1)
-    work[np.arange(r) < low[:, None]] = 0
+    work[: k.size, :r][np.arange(r) < low[:, None]] = 0
+    if r == s:
+        sign = (1 - 2 * (np.arange(r) & 1)) % p
+        work[: k.size, r] = np.where(deg + k == r - 1, sign[i], 0)
+        work[k.size :, :r] = sign
+        work[k.size :, r + 1] = 1
+        k, deg = np.concatenate([k, probes]), np.concatenate([deg, r - 1 - probes])
 
     blocks, tags = np.unique(k * (top + 1) + deg, return_inverse=True)
-    _, pivot_tags = _echelon(work, p, tags)
-    ranks = np.bincount(blocks[pivot_tags] // (top + 1), minlength=top + 2).tolist()
+    basis, pivot_tags = _echelon(work, p, tags)
+    power = blocks[pivot_tags] // (top + 1)
+    image = basis[:, :r].any(axis=1)  # rows (0, e, m) count in no rank
+    ranks = np.bincount(power[image], minlength=top + 2)
     ranks[0] = r * s
-    return tuple(ranks[: ranks.index(0) + 1])
-
-
-@lru_cache(maxsize=None)
-def _diagonal_invariants(d: int, p: int) -> tuple[int, int]:
-    """(h, c) for End(V_d) = V_d tensor V_d^*, with eps the trace:
-    h = max{k : I in im X^k}, and c = eps(w) for any w with X^h(w) = I.
-
-    With N = u - 1, X(A) = u A u^-1 - A = [N, A] u^-1, and right
-    multiplication by u^-1 is invertible and commutes with D = ad N, so
-    im X^k = im D^k and X^k(w) = I exactly when D^k(w u^-k) = I. Give E_ij
-    the degree j - i: D raises it by 1 and I has degree 0, so I is in
-    im D^k exactly when it is in D^k(R_-k), R_-k = span{E_(t+k, t)} of
-    d - k elements. For w' in R_-k, eps(w' u^k) keeps only the degree-0
-    term tr(w' N^k), the sum of the coefficients of w'. In the basis
-    (-1)^j E_ij, D acts on coordinates as A -> NA + AN, which takes
-    E_(t+k, t) to sum_b C(k, b) E_(t+b, t+b), a row of `_binomial_rows`;
-    there I has coordinates sign = ((-1)^j), and eps(E_(t+k, t)) = sign[t].
-
-    Each power k gets rows (D^k E, eps(E), 0) for E in R_-k and one probe
-    (I, 0, 1), all tagged by k and echelonized in one call d + 2 wide. eps
-    kills ker D^k while I is in im D^k (the trace pairing is u-invariant),
-    so a row (0, e, m) with m != 0 lies in the span of tag k exactly when
-    I is in im D^k, and then c = -e / m. R_-k = 0 for k >= d, so the
-    powers 0..d-1 cover every k with I in the image.
-    """
-    dtype = _working_dtype(p, 2)
-    per_k = np.arange(d, 0, -1)  # R_-k has d - k elements
-    k = np.repeat(np.arange(d), per_k)
-    t = np.arange(k.size) - np.repeat(np.cumsum(per_k) - per_k, per_k)
-    sign = (1 - 2 * (np.arange(d) & 1)) % p
-    work = np.zeros((k.size + d, d + 2), dtype=dtype)
-    work[: k.size, :d] = _binomial_rows(k, t, d, p, dtype)
-    work[: k.size, d] = sign[t]
-    work[k.size :, :d] = sign
-    work[k.size :, d + 1] = 1
-    basis, tags = _echelon(work, p, np.concatenate([k, np.arange(d)]))
-    member = ~basis[:, :d].any(axis=1) & (basis[:, d + 1] != 0)
-    (row,) = np.flatnonzero(member & (tags == tags[member].max()))
-    e, m = (int(v) for v in basis[row, d:])
-    return int(tags[row]), -e * pow(m, -1, p) % p
+    invariants = None
+    if r == s:
+        member = ~image & (basis[:, -1] != 0)
+        h = int(power[member].max(initial=0))
+        e, m = basis[member & (power == h)][0, r:].tolist() if h else (-r, 1)
+        invariants = h, -e * pow(m, -1, p) % p
+        ranks[h + 1 : r] -= 1
+    ranks = ranks.tolist()
+    return tuple(ranks[: ranks.index(0) + 1]), invariants
 
 
 def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
@@ -175,7 +166,7 @@ def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
     kills im X, so X^k loses rank 1 on ker eps unless eps is nonzero on
     ker X^k; the trace pairing is u-invariant, so that happens exactly when
     some I_d is outside im X^k: k > h, h = min h_d, with h_d and c_d from
-    `_diagonal_invariants`. When p | n, I lies in X^k (ker eps) when k <= h
+    the piece (d, d). When p | n, I lies in X^k (ker eps) when k <= h
     and eps(w) = 0 for the w with w X^k = I; eps kills im X, so only the
     sizes with h_d = k contribute, m_d c_d each. Hence
 
@@ -201,9 +192,9 @@ def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
             # V_s tensor V_r^* is the dual module of V_r tensor V_s^*, and
             # u^-T has the Jordan type of u, so one piece serves both orders.
             copies = m1 * m1 if d1 == d2 else 2 * m1 * m2
-            for k, rank in enumerate(_piece_ranks(d1, d2, p)):
+            for k, rank in enumerate(_piece_ranks(d1, d2, p)[0]):
                 ranks[k] += copies * rank
-    invariants = {d: _diagonal_invariants(d, p) for d, _ in t}
+    invariants = {d: _piece_ranks(d, d, p)[1] for d, _ in t}
     for k in range(min(h for h, _ in invariants.values()) + 1):
         top = sum(m * invariants[d][1] for d, m in t if invariants[d][0] == k)
         ranks[k] -= 1 + (n % p == 0 and top % p == 0)

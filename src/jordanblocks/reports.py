@@ -69,10 +69,10 @@ def _verify(
     """Check the answer by a route that calls no rule.
 
     SL: `construction._split_adjoint_type` recomputes the irreducible type
-    from the memoized ranks of the pieces V_r tensor V_s^*, each from graded
-    blocks at most min(r, s) wide, and two invariants per block size, by
-    elimination; it uses no rule, no tensor-pair closed form and no
-    elimination wider than max d + 2 columns.
+    by elimination from the memoized ranks of the pieces V_r tensor V_s^*,
+    each from graded blocks at most min(r, s) wide, and two invariants per
+    block size from the same call as End(V_d), d + 2 wide; it uses no rule,
+    no tensor-pair closed form and no elimination wider than that.
     Sp/SO: the carrier plus the other square must equal V tensor V*, which
     is rule(carrier) + other == adjoint_rule(V tensor V*) with the block
     changes all three rules share taken off both sides. It checks how the

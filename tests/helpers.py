@@ -1,7 +1,8 @@
 """Shared helpers for the test suite.
 
 Provides a seeded random partition generator, mod-p matrix powers, a dense
-matrix for the shifted tensor action, the graded elimination engine of
+matrix for the shifted tensor action, a cold start for every memo of
+`construction` and `oracle`, the graded elimination engine of
 `construction` unmemoized and in either factor order (the referee of every
 closed form; the oracle itself eliminates no pair), the power of p that the
 reflection fold folds across, the ungraded rank chain for
@@ -70,6 +71,15 @@ def tensor_x_matrix(t: JordanType, p: int) -> np.ndarray:
     return (full - np.eye(n2, dtype=np.int64)) % p
 
 
+def clear_memos() -> None:
+    """Empty every `lru_cache` of `construction` and `oracle`, found by its
+    cache_clear, so that a test starts cold whichever memos they hold."""
+    for module in (construction, oracle):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
 def graded_engine(m: int, n: int, p: int) -> JordanType:
     """J_m (x) J_n from the ranks of the graded pieces of X^k, by elimination
     alone, with the factors in either order: the referee of every closed form.
@@ -78,7 +88,8 @@ def graded_engine(m: int, n: int, p: int) -> JordanType:
     memo bypassed so that every call eliminates; V_n* has the type of V_n, so
     its ranks on V_m (x) V_n* are those on V_m (x) V_n.
     """
-    return oracle._blocks_from_ranks(construction._piece_ranks.__wrapped__(min(m, n), max(m, n), p))
+    ranks, _ = construction._piece_ranks.__wrapped__(min(m, n), max(m, n), p)
+    return oracle._blocks_from_ranks(ranks)
 
 
 def fold_power(m: int, n: int, p: int) -> int | None:
@@ -113,9 +124,9 @@ def shift_chain_tensor_type(m: int, n: int, p: int) -> JordanType:
 
 
 def chained_diagonal_invariants(d: int, p: int) -> tuple[int, int]:
-    """(h, c) of `construction._diagonal_invariants` by a chain of
-    eliminations over all of End(V_d) = V_d (x) V_d*, with eps the trace:
-    h = max{k : I in im X^k}, and c = eps(w) for any w with w X^h = I.
+    """The invariants (h, c) of `construction._piece_ranks(d, d, p)` by a
+    chain of eliminations over all of End(V_d) = V_d (x) V_d*, with eps the
+    trace: h = max{k : I in im X^k}, and c = eps(w) for any w with w X^h = I.
 
     Each row is (w X^k, eps(w), 0) for some w in End(V_d), and one probe row
     (I, 0, 1) is echelonized with them. While I is in im X^k, eps kills

@@ -100,6 +100,30 @@ class TestDecompose:
         assert code == 0
         assert out == "1, 3, 9, 15^2, 21, 27^2\n"
 
+    @pytest.mark.parametrize("p, rep, want", [
+        ("3", "sym2", "3^2, 9, 15^2, 21, 27^2"),
+        ("2", "ext2", "9, 16^6"),
+    ])
+    def test_square_rep_is_not_refused_for_the_pair_cap(self, capsys, p, rep, want):
+        # under SL the report's carrier is V_15 tensor V_15^*, 225-square and
+        # past the pair cap, but only the 120- or 105-square module is printed
+        code, out, err = run(capsys, "decompose", "--p", p, "--type", "15", "--rep", rep)
+        assert (code, err) == (0, "")
+        assert out == want + "\n"
+
+    def test_square_rep_verify_past_the_pair_cap_names_the_fix(self, capsys):
+        # the square answers alone; only the SL check needs V_15 tensor V_15^*
+        code, out, err = run(capsys, "decompose", "--p", "3", "--type", "15", "--rep", "sym2", "--verify")
+        assert code == 3
+        assert out == ""
+        assert "exceeds the cap" in err and "--verify" in err
+
+    def test_tensor_rep_past_the_cap_is_refused(self, capsys):
+        code, out, err = run(capsys, "decompose", "--p", "5", "--type", "25", "--rep", "tensor")
+        assert code == 3
+        assert out == ""
+        assert "exceeds the cap" in err
+
     def test_bad_partition_text(self, capsys):
         code, _, err = run(capsys, "decompose", "--p", "3", "--type", "junk")
         assert code == 3

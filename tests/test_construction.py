@@ -26,8 +26,8 @@ from jordanblocks import (
     partitions_of,
 )
 from jordanblocks import construction, oracle, recursions, rules
-from jordanblocks.linalg import dual_action, jordan_block, kronecker
-from jordanblocks.partitions import alpha_of, nu_p
+from jordanblocks.linalg import _working_dtype, dual_action, jordan_block, kronecker
+from jordanblocks.partitions import alpha_of, binom_mod_p, nu_p
 
 
 class TestXPowerOnDual:
@@ -195,8 +195,7 @@ class TestBuildAdjointAction:
 
 def verify_peak(t: JordanType, p: int) -> tuple[bool, int]:
     """build_report(verify=True) from cold caches: (verified, tracemalloc peak)."""
-    for memo in (construction._piece_ranks, construction._diagonal_invariants, oracle._tensor_block_type):
-        memo.cache_clear()
+    helpers.clear_memos()
     tracemalloc.start()
     try:
         report = build_report(t, GroupContext("SL", t.dim, p), verify=True)
@@ -238,14 +237,28 @@ class TestVerifyMemory:
         assert peak < 8_000_000
 
     def test_the_per_size_invariants_stay_small(self):
-        # End(V_40) is 1600-dimensional; its diagonals give 860 rows 42 wide
+        # End(V_40) is 1600-dimensional; its piece ranks and invariants come
+        # from one call on 62 439 graded rows 42 wide
         tracemalloc.start()
         try:
-            assert construction._diagonal_invariants.__wrapped__(40, 2) == (7, 1)
+            assert construction._piece_ranks.__wrapped__(40, 40, 2)[1] == (7, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2_000_000
+        assert peak < 24_000_000
+
+
+class TestBinomialRows:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 10007])
+    def test_pascal_rows_match_lucas(self, p):
+        # every power a piece 61 wide reaches, 0 to 120, at every shift
+        width = 61
+        k, shift = (a.ravel() for a in np.mgrid[: 2 * width - 1, :width])
+        got = construction._binomial_rows(k, shift, width, p, _working_dtype(p, 2))
+        lucas = np.array([[binom_mod_p(a, b, p) for b in range(width)] for a in range(2 * width - 1)])
+        below = np.arange(width) - shift[:, None]  # C(k, c - shift) at column c
+        want = np.where(below >= 0, lucas[k[:, None], np.maximum(below, 0)], 0)
+        assert np.array_equal(got, want)
 
 
 class TestSplitRoute:
@@ -255,19 +268,25 @@ class TestSplitRoute:
             dual = dual_action(jordan_block(s, p))
             for r in range(1, s + 1):
                 want = jordan_type_of(kronecker(jordan_block(r, p), dual))
-                assert oracle._blocks_from_ranks(construction._piece_ranks(r, s, p)) == want, (r, s)
+                ranks, invariants = construction._piece_ranks(r, s, p)
+                assert oracle._blocks_from_ranks(ranks) == want, (r, s)
+                assert (invariants is None) == (r != s), (r, s)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_pieces_eliminate_at_most_min_r_s_wide(self, echelon_widths, p):
-        # V_12 tensor V_12^* is 144-dimensional, but its graded blocks are
-        # at most 12 wide
+        # V_12 tensor V_12^* is 144-dimensional and V_12 tensor V_13^* is
+        # 156-dimensional, but their graded blocks are at most 12 wide; the
+        # diagonal piece adds the two columns of its invariant problem
+        construction._piece_ranks.__wrapped__(12, 13, p)
+        assert len(echelon_widths) == 1 and echelon_widths[0] <= 12, echelon_widths
         construction._piece_ranks.__wrapped__(12, 12, p)
-        assert echelon_widths and max(echelon_widths) <= 12, sorted(set(echelon_widths))
+        assert len(echelon_widths) == 2 and echelon_widths[1] <= 14, echelon_widths
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_diagonal_invariants_eliminate_once_at_most_d_plus_2_wide(self, echelon_widths, p):
-        # End(V_24) is 576-dimensional, but its diagonals give rows 26 wide
-        construction._diagonal_invariants.__wrapped__(24, p)
+        # End(V_24) is 576-dimensional, but its ranks and invariants come
+        # from one call on rows 26 wide
+        construction._piece_ranks.__wrapped__(24, 24, p)
         assert len(echelon_widths) == 1 and echelon_widths[0] <= 26, echelon_widths
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -275,14 +294,14 @@ class TestSplitRoute:
         # the graded kernel against eliminations over all of End(V_d)
         for d in range(1, 25):
             want = helpers.chained_diagonal_invariants(d, p)
-            assert construction._diagonal_invariants.__wrapped__(d, p) == want, d
+            assert construction._piece_ranks.__wrapped__(d, d, p)[1] == want, d
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_diagonal_invariants_follow_the_delta_ladder(self, p):
         # delta_nu certifies I in im X^(p^nu - 1), and its trace is d / p^nu
         for d in range(1, 41):
             q = p ** nu_p(d, p)
-            assert construction._diagonal_invariants(d, p) == (q - 1, d // q % p), d
+            assert construction._piece_ranks(d, d, p)[1] == (q - 1, d // q % p), d
 
     def test_wide_dtype_prime_agrees_with_the_whole_module(self):
         p = 1_000_003
@@ -306,8 +325,7 @@ class TestSplitRoute:
             for binder in (construction, oracle, recursions, rules):
                 if getattr(binder, name, None) is original:
                     monkeypatch.setattr(binder, name, forbidden)
-        for memo in (construction._piece_ranks, construction._diagonal_invariants):
-            memo.cache_clear()
+        helpers.clear_memos()
         # at p = 5, type 5 has h = 4 with p | n, so the trace correction c counts
         for p in (2, 3, 5):
             for n in range(2, 8):
