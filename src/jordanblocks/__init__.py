@@ -6,12 +6,10 @@ irreducible factor of the adjoint-type highest weight, starting from the
 Jordan type of its action on V.
 """
 
-from .construction import build_adjoint_action
 from .oracle import (
     DEFAULT_MAX_ENTRIES,
     OracleCapError,
     ext2_type,
-    jordan_type_of,
     sym2_type,
     tensor_block_type,
     tensor_dual_type,
@@ -28,12 +26,10 @@ __all__ = [
     "JordanType",
     "OracleCapError",
     "adjoint_rule",
-    "build_adjoint_action",
     "build_report",
     "clebsch_gordan",
     "ext2_type",
     "free_rule",
-    "jordan_type_of",
     "parse_jordan_type",
     "partitions_of",
     "sym2_type",

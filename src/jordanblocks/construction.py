@@ -114,14 +114,10 @@ def _piece_ranks(r: int, s: int, p: int) -> tuple[tuple[int, ...], tuple[int, in
     dtype = _working_dtype(p, 2)  # refuses a too-large p before any arithmetic
     top = r + s - 2  # highest degree, so X^(top+1) = 0
     i, j = np.divmod(np.arange(r * s), s)
-    deg = i + j
-    order = np.argsort(deg, kind="stable")
-    i, deg = i[order], deg[order]
-    # X^k can be nonzero only on R_d with d <= top - k: a prefix in degree order
-    per_k = np.searchsorted(deg, top - np.arange(1, top + 1), side="right")
-    k = np.repeat(np.arange(1, top + 1), per_k)
-    src = np.arange(k.size) - np.repeat(np.cumsum(per_k) - per_k, per_k)
-    i, deg = i[src], deg[src]
+    # X^k can be nonzero only on R_d with d <= top - k: one row per such (k, source)
+    k, src = np.nonzero(i + j <= top - np.arange(1, top + 1)[:, None])
+    k += 1
+    i, deg = i[src], i[src] + j[src]
 
     probes = np.arange(1, r) if r == s else np.arange(0)
     work = np.zeros((k.size + probes.size, r + 2 * (r == s)), dtype=dtype)

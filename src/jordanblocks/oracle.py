@@ -167,8 +167,8 @@ def jordan_type_of(M: PrimeFieldMatrix) -> JordanType:
     """Jordan type of a unipotent matrix from kernel dimensions of powers.
 
     r_m = 2 dim Ker X^m - dim Ker X^{m+1} - dim Ker X^{m-1} with X = M - 1;
-    non-unipotent input is detected and rejected. scipy is imported here,
-    not with the package: no other function of the package needs it.
+    non-unipotent input is detected and rejected. scipy, from the `test`
+    extra, is imported here, not with the package: without it only this fails.
     """
     import scipy.sparse as sparse
 

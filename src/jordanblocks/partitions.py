@@ -1,4 +1,4 @@
-"""Jordan types (partitions with multiplicity), p-adic valuations, binomials mod p."""
+"""Jordan types (partitions with multiplicity), prime characteristics, p-adic valuations."""
 
 from __future__ import annotations
 
@@ -225,21 +225,3 @@ def alpha_of(t: JordanType, p: int) -> int:
         raise ValueError("empty Jordan type")
     return nu_p(math.gcd(*t.sizes), p)
 
-
-def binom_mod_p(a: int, b: int, p: int) -> int:
-    """(a choose b) mod p, digit by digit in base p; 0 whenever a < b.
-
-    Never forms a factorial: each base-p digit pair contributes its own small
-    binomial, and any digit of a falling below the matching digit of b kills
-    the product.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("binomial arguments must be non-negative")
-    out = 1
-    while b:
-        a, da = divmod(a, p)
-        b, db = divmod(b, p)
-        if da < db:
-            return 0
-        out = out * math.comb(da, db) % p
-    return out

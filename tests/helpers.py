@@ -4,13 +4,14 @@ Provides a seeded random partition generator, mod-p matrix powers, a dense
 matrix for the shifted tensor action, a cold start for every memo of
 `construction` and `oracle`, the graded elimination engine of
 `construction` unmemoized and in either factor order (the referee of every
-closed form; the oracle itself eliminates no pair), the power of p that the
-reflection fold folds across, the ungraded rank chain for
+closed form; the oracle itself eliminates no pair), binomials mod p by
+Lucas's theorem (the referee of the engine's Pascal rows), the power of p
+that the reflection fold folds across, the ungraded rank chain for
 J_m (x) J_n that the graded engine is tested against, the chained
 elimination over End(V_d) that the graded per-size invariants are tested
-against, and the paper's proof
-model: closed forms for powers of X = u - 1 on dual and tensor vectors, the
-delta_beta vectors, and the check that X walks them down the ladder.
+against, and the paper's proof model: closed forms for powers of
+X = u - 1 on dual and tensor vectors, the delta_beta vectors, and the
+check that X walks them down the ladder.
 
 Positions inside a block are 1-based; an index outside 1..n denotes the
 zero vector, so the closed forms return an empty mapping for it.
@@ -90,6 +91,26 @@ def graded_engine(m: int, n: int, p: int) -> JordanType:
     """
     ranks, _ = construction._piece_ranks.__wrapped__(min(m, n), max(m, n), p)
     return oracle._blocks_from_ranks(ranks)
+
+
+def binom_mod_p(a: int, b: int, p: int) -> int:
+    """(a choose b) mod p by Lucas's theorem, digit by digit in base p; 0
+    whenever a < b. The referee of the Pascal rows the graded kernel builds.
+
+    Never forms a factorial: each base-p digit pair contributes its own small
+    binomial, and any digit of a falling below the matching digit of b kills
+    the product.
+    """
+    if a < 0 or b < 0:
+        raise ValueError("binomial arguments must be non-negative")
+    out = 1
+    while b:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        if da < db:
+            return 0
+        out = out * math.comb(da, db) % p
+    return out
 
 
 def fold_power(m: int, n: int, p: int) -> int | None:

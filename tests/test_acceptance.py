@@ -17,10 +17,8 @@ from jordanblocks import (
     GroupContext,
     JordanType,
     adjoint_rule,
-    build_adjoint_action,
     build_report,
     ext2_type,
-    jordan_type_of,
     partitions_of,
     sym2_type,
     tensor_block_type,
@@ -29,12 +27,15 @@ from jordanblocks import (
 )
 from jordanblocks import construction
 from jordanblocks.cli import _load_fixture
+from jordanblocks.construction import build_adjoint_action
 from jordanblocks.linalg import dual_action, jordan_block
-from jordanblocks.partitions import alpha_of, binom_mod_p, nu_p
+from jordanblocks.oracle import jordan_type_of
+from jordanblocks.partitions import alpha_of, nu_p
 from jordanblocks.recursions import gpx_scale, reflect_rule
 from jordanblocks.rules import so_2w1_rule, sp_w2_rule
 from helpers import (
     as_pairs,
+    binom_mod_p,
     dual_shift,
     fold_power,
     graded_engine,

@@ -384,6 +384,33 @@ print("scipy" in sys.modules)
 """
         assert fresh_interpreter(code) == "False\n"
 
+    def test_nothing_but_the_explicit_referee_needs_scipy(self):
+        # with scipy blocked, as in an install without the test extra, the
+        # package answers and checks every group; only jordan_type_of fails
+        code = """
+import contextlib, io, sys
+sys.modules["scipy"] = None
+import jordanblocks, jordanblocks.cli
+from jordanblocks import GroupContext, JordanType, build_report
+from jordanblocks.oracle import jordan_type_of
+from jordanblocks.linalg import jordan_block
+for kind, blocks in (("SL", {1: 1, 2: 1, 3: 1}), ("Sp", {1: 2, 3: 2}), ("SO", {1: 1, 3: 2})):
+    t = JordanType(blocks)
+    assert build_report(t, GroupContext(kind, t.dim, 3), verify=True).verified
+for argv in (
+    ["decompose", "--p", "3", "--type", "1, 2, 3", "--verify"],
+    ["sweep", "--p", "3", "--group", "so", "--max-n", "8"],
+    ["reproduce-table"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert jordanblocks.cli.main(argv) == 0, argv
+try:
+    jordan_type_of(jordan_block(2, 3))
+except ImportError as exc:
+    print(exc.name.partition(".")[0])
+"""
+        assert fresh_interpreter(code) == "scipy\n"
+
     @pytest.mark.parametrize("module", ["jordanblocks.recursions", "jordanblocks.oracle"])
     def test_rules_and_oracle_import_alone(self, module):
         # oracle routes pairs through recursions, which imports no oracle;

@@ -10,6 +10,7 @@ import scipy.sparse as sparse
 import helpers
 from helpers import (
     as_pairs,
+    binom_mod_p,
     delta,
     dual_shift,
     ladder_failure,
@@ -20,14 +21,14 @@ from helpers import (
 from jordanblocks import (
     GroupContext,
     JordanType,
-    build_adjoint_action,
     build_report,
-    jordan_type_of,
     partitions_of,
 )
 from jordanblocks import construction, oracle, recursions, rules
+from jordanblocks.construction import build_adjoint_action
 from jordanblocks.linalg import _working_dtype, dual_action, jordan_block, kronecker
-from jordanblocks.partitions import alpha_of, binom_mod_p, nu_p
+from jordanblocks.oracle import jordan_type_of
+from jordanblocks.partitions import alpha_of, nu_p
 
 
 class TestXPowerOnDual:
@@ -191,6 +192,17 @@ class TestBuildAdjointAction:
             t = JordanType(blocks)
             drop = 2 if t.dim % p == 0 else 1
             assert jordan_type_of(build_adjoint_action(t, p)).dim == t.dim**2 - drop
+
+
+def test_clear_memos_leaves_every_memo_cold():
+    # an SL and an Sp check fill the pair, square and piece memos
+    for kind, blocks in (("SL", {2: 1, 3: 1}), ("Sp", {2: 2})):
+        t = JordanType(blocks)
+        assert build_report(t, GroupContext(kind, t.dim, 3), verify=True).verified
+    memos = (oracle._tensor_block_type, oracle._square_single, construction._piece_ranks)
+    assert all(memo.cache_info().currsize for memo in memos)
+    helpers.clear_memos()
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
 
 
 def verify_peak(t: JordanType, p: int) -> tuple[bool, int]:

@@ -18,7 +18,6 @@ from jordanblocks import (
     JordanType,
     OracleCapError,
     ext2_type,
-    jordan_type_of,
     partitions_of,
     sym2_type,
     tensor_block_type,
@@ -36,8 +35,9 @@ from jordanblocks.linalg import (
     rref,
     symmetric_square,
 )
+from jordanblocks.oracle import jordan_type_of
 
-from helpers import graded_engine, matrix_power, shift_chain_tensor_type
+from helpers import clear_memos, graded_engine, matrix_power, shift_chain_tensor_type
 
 PRIMES = [2, 3, 5, 7]
 
@@ -256,11 +256,11 @@ class TestRouting:
 
         for name in fired:
             monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
-        oracle._tensor_block_type.cache_clear()
+        clear_memos()
         try:
             routed = {(m, n, p): oracle._tensor_block_type(m, n, p) for m, n, p in pairs}
         finally:
-            oracle._tensor_block_type.cache_clear()
+            clear_memos()
         assert fired == self.FIRED
         assert [pair for pair, t in routed.items() if t != graded_engine(*pair)] == []
 
@@ -281,8 +281,7 @@ class TestRouting:
         # the bound's owner, which every matrix asks, and the oracle's import of it
         monkeypatch.setattr(linalg, "_working_dtype", refuse)
         monkeypatch.setattr(oracle, "_working_dtype", refuse)
-        oracle._tensor_block_type.cache_clear()
-        oracle._square_single.cache_clear()
+        clear_memos()
         try:
             for p in PRIMES:
                 for n in range(1, 41):
@@ -291,8 +290,7 @@ class TestRouting:
             for d in range(1, 41):
                 assert ext2_type(JordanType({d: 1}), 2, max_entries=780**2).dim == d * (d - 1) // 2
         finally:
-            oracle._tensor_block_type.cache_clear()
-            oracle._square_single.cache_clear()
+            clear_memos()
 
     def test_router_never_calls_the_public_lookup(self, monkeypatch):
         # the scaled and folded pairs come from the memo, never from the
@@ -301,14 +299,14 @@ class TestRouting:
             raise AssertionError(f"the router called tensor_block_type{args}")
 
         monkeypatch.setattr(oracle, "tensor_block_type", refuse)
-        oracle._tensor_block_type.cache_clear()
+        clear_memos()
         try:
             for p in PRIMES:
                 for n in range(1, 33):
                     for m in range(1, n + 1):
                         oracle._tensor_block_type(m, n, p)
         finally:
-            oracle._tensor_block_type.cache_clear()
+            clear_memos()
 
     def test_carriers_never_call_the_public_lookup(self, monkeypatch):
         # V (x) V* and both squares read their pairs from the memo too
@@ -434,14 +432,14 @@ class TestEchelon:
 
 def routed_cold(m: int, n: int, p: int) -> tuple[JordanType, int]:
     """J_m (x) J_n from the router with a cold memo, and the tracemalloc peak."""
-    oracle._tensor_block_type.cache_clear()
+    clear_memos()
     tracemalloc.start()
     try:
         got = oracle._tensor_block_type(m, n, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        oracle._tensor_block_type.cache_clear()
+        clear_memos()
     return got, peak
 
 
@@ -570,11 +568,9 @@ def product(s: JordanType, t: JordanType, p: int) -> JordanType:
 def cold_memo():
     # the identities fill the memo with thousands of large pairs: start
     # from an empty one and leave it empty
-    oracle._tensor_block_type.cache_clear()
-    oracle._square_single.cache_clear()
+    clear_memos()
     yield
-    oracle._tensor_block_type.cache_clear()
-    oracle._square_single.cache_clear()
+    clear_memos()
 
 
 class TestProductIdentities:

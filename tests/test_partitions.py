@@ -1,4 +1,4 @@
-"""Tests for Jordan types, partitions, and mod-p binomials."""
+"""Tests for Jordan types, partitions, and the Lucas binomial mod p in `helpers`."""
 
 import json
 import math
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from jordanblocks import (
     GroupContext,
     JordanType,
-    build_adjoint_action,
     build_report,
     ext2_type,
     free_rule,
@@ -21,8 +20,9 @@ from jordanblocks import (
     tensor_block_type,
     tensor_dual_type,
 )
-from jordanblocks import oracle
-from jordanblocks.partitions import PrimeChar, alpha_of, binom_mod_p, nu_p
+from jordanblocks.construction import build_adjoint_action
+from jordanblocks.partitions import PrimeChar, alpha_of, nu_p
+from helpers import binom_mod_p, clear_memos
 
 PRIMES = [2, 3, 5, 7]
 
@@ -158,7 +158,7 @@ class TestIntegerArguments:
     def test_floats_and_strings_are_refused(self, entry, value):
         # on a cold memo, and again once the integer call has warmed it: the
         # memo key (3.0, 4, 3) equals (3, 4, 3)
-        oracle._tensor_block_type.cache_clear()
+        clear_memos()
         with pytest.raises(TypeError):
             TAKES_AN_INTEGER[entry](value)
         TAKES_AN_INTEGER[entry](3)

@@ -8,14 +8,14 @@ from jordanblocks import (
     GroupContext,
     JordanType,
     adjoint_rule,
-    build_adjoint_action,
     ext2_type,
-    jordan_type_of,
     partitions_of,
     sym2_type,
     tensor_dual_type,
     validate_classical,
 )
+from jordanblocks.construction import build_adjoint_action
+from jordanblocks.oracle import jordan_type_of
 from jordanblocks.partitions import alpha_of
 from jordanblocks.rules import rule_case, so_2w1_rule, sp_w2_rule
 
