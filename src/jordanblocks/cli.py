@@ -12,19 +12,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 from .linalg import _working_dtype
-from .oracle import ext2_type, sym2_type, tensor_dual_type
 from .partitions import JordanType, parse_jordan_type, partitions_of
-from .reports import build_report
+from .reports import _CARRIERS, DecompositionReport, _module, _squares_add_up, _verify, build_report
 from .rules import _DOMAINS, GroupContext, validate_classical
 
 __all__ = ["main"]
 
 _GROUPS = {"sl": "SL", "sp": "Sp", "so": "SO"}
-_MODULES = {"tensor": tensor_dual_type, "ext2": ext2_type, "sym2": sym2_type}
 
 FixtureRow = tuple[int, int, JordanType, JordanType, JordanType]
 
@@ -65,6 +64,19 @@ def _load_fixture(path: str | None) -> list[FixtureRow]:
     return rows
 
 
+def _check(report: DecompositionReport, rep: str, shown: JordanType) -> bool:
+    """The check that reads the printed module `shown`: the report's own for the carrier
+    and irr, else ext2 + sym2 == V tensor V* beside the carrier, which SL checks as well."""
+    ctx = report.context
+    slot = _CARRIERS[ctx.kind]
+    if rep in ("irr", slot):
+        return _verify(replace(report, carrier=shown) if rep == slot else report)
+    if ctx.p == 2:  # SL ext2 alone: sym2, Sp and SO need odd p
+        raise ValueError("no check reads the exterior square at p = 2")
+    tied = _squares_add_up(report.input_type, ctx.p, **{rep: shown, slot: report.carrier})
+    return tied and (ctx.kind != "SL" or _verify(report))
+
+
 def cmd_decompose(args: argparse.Namespace) -> int:
     t = parse_jordan_type(args.type)
     ctx = GroupContext(_GROUPS[args.group], t.dim, args.p)
@@ -73,10 +85,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         raise ValueError(verdict.reason)
     # only the printed module: the report's carrier may pass a cap that it does not
     report = build_report(t, ctx) if args.rep == "irr" else None
-    shown = report.irreducible if args.rep == "irr" else _MODULES[args.rep](t, ctx.p)
+    shown = report.irreducible if report else _module(args.rep, t, ctx.p)
     if args.verify:
-        try:  # the same answer was just built, so only the check can refuse here
-            report = build_report(t, ctx, verify=True)
+        try:  # the answer is built, so only the check can refuse here
+            report = report or build_report(t, ctx)
+            report = replace(report, verified=_check(report, args.rep, shown))
         except ValueError as exc:
             raise ValueError(f"{exc}; drop --verify to get the answer without the check") from None
     if args.json:
@@ -85,9 +98,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         print(shown.render())
         if args.verify:
             print("verified: ok" if report.verified else "verified: MISMATCH")
-    if args.verify and not report.verified:
-        return 4
-    return 0
+    return 4 if args.verify and not report.verified else 0
 
 
 def cmd_reproduce_table(args: argparse.Namespace) -> int:
@@ -152,8 +163,10 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument(
         "--verify",
         action="store_true",
-        help="check the answer and report agreement: SL recomputes the irreducible "
-        "type by elimination; Sp/SO check carrier + other square == V tensor V*",
+        help="check the printed module: SL recomputes tensor and irr by elimination; Sp/SO "
+        "check carrier + other square == V tensor V*, irr being the rule applied to that "
+        "carrier; any other --rep is checked at odd p by ext2 + sym2 == V tensor V* beside "
+        "the checked carrier",
     )
     dec.add_argument("--json", action="store_true", help="emit the full report as JSON")
     dec.set_defaults(func=cmd_decompose)

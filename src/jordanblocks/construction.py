@@ -9,7 +9,8 @@ The SL verify route builds no matrix: it sums the module's ranks piece by
 piece, each V_r tensor V_s^* from the graded blocks of X^k on
 k[x, v]/(x^r, v^s) in one tagged call at most min(r, s) wide (d + 2 for
 End(V_d), which also counts the two invariants per block size that correct
-the diagonal part), and reads the blocks off the sum once.
+the diagonal part). V tensor V*'s blocks are read off the sum and L's off
+the corrected sum: SL `--verify` checks `--rep tensor` and `irr` with these.
 """
 
 from __future__ import annotations
@@ -149,9 +150,9 @@ def _piece_ranks(r: int, s: int, p: int) -> tuple[tuple[int, ...], tuple[int, in
     return tuple(ranks[: ranks.index(0) + 1]), invariants
 
 
-def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
-    """Jordan type of u on the adjoint module L, summand by summand, with no
-    elimination wider than max d + 2 columns.
+def _split_adjoint_type(t: JordanType, p: int) -> tuple[JordanType, JordanType]:
+    """Jordan types of u on V tensor V* and on the adjoint module L, summand
+    by summand, with no elimination wider than max d + 2 columns.
 
     V tensor V* is the sum of the u-invariant pieces V_a tensor V_b^* over
     ordered pairs of blocks, so its ranks of X^k are sums of the pieces'
@@ -169,7 +170,7 @@ def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
         rank X^k on L = sum over (a, b) of rank X^k on V_a tensor V_b^*
             - [k <= h] (1 + [p | n] [sum_{h_d = k} m_d c_d = 0 mod p]),
 
-    and the blocks are read off this rank sequence once.
+    and L's blocks are read off this sequence, V tensor V*'s off the sum.
 
     This is a second derivation, not a copy of a rule: h_d and c_d are
     counted by elimination, and no rule, no tensor-pair engine and no
@@ -190,8 +191,9 @@ def _split_adjoint_type(t: JordanType, p: int) -> JordanType:
             copies = m1 * m1 if d1 == d2 else 2 * m1 * m2
             for k, rank in enumerate(_piece_ranks(d1, d2, p)[0]):
                 ranks[k] += copies * rank
+    tensor = _checked(_blocks_from_ranks(ranks), n * n)
     invariants = {d: _piece_ranks(d, d, p)[1] for d, _ in t}
     for k in range(min(h for h, _ in invariants.values()) + 1):
         top = sum(m * invariants[d][1] for d, m in t if invariants[d][0] == k)
         ranks[k] -= 1 + (n % p == 0 and top % p == 0)
-    return _checked(_blocks_from_ranks(ranks), n * n - 1 - (n % p == 0))
+    return tensor, _checked(_blocks_from_ranks(ranks), n * n - 1 - (n % p == 0))

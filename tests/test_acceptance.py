@@ -63,7 +63,7 @@ def test_criterion_1_reference_table_reproduced_two_ways():
         assert adjoint_rule(tensor, t, ctx) == irr, (n, p, t.render())
         want = jordan_type_of(build_adjoint_action(t, p))
         assert want == irr, (n, p, t.render())
-        assert construction._split_adjoint_type(t, p) == want, (n, p, t.render())
+        assert construction._split_adjoint_type(t, p) == (tensor, want), (n, p, t.render())
     report("criterion 1: 39/39 reference rows reproduced two independent ways", start)
 
 
@@ -74,10 +74,10 @@ def test_criterion_2_rule_agrees_with_construction_for_every_partition():
         for t in partitions_of(n):
             for p in (2, 3, 5, 7):
                 ctx = GroupContext("SL", n, p)
-                got = adjoint_rule(tensor_dual_type(t, p), t, ctx)
+                tensor = tensor_dual_type(t, p)
                 want = jordan_type_of(build_adjoint_action(t, p))
-                assert got == want, (t.render(), p)
-                assert construction._split_adjoint_type(t, p) == want, (t.render(), p)
+                assert adjoint_rule(tensor, t, ctx) == want, (t.render(), p)
+                assert construction._split_adjoint_type(t, p) == (tensor, want), (t.render(), p)
                 checked += 1
     assert checked == 137 * 4
     report(f"criterion 2: rule == construction on {checked} partition/prime pairs", start)

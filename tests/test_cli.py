@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from jordanblocks import GroupContext, JordanType, parse_jordan_type
+from jordanblocks import GroupContext, JordanType, cli, oracle, parse_jordan_type, reports
 from jordanblocks.cli import main
 
 SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sweep.txt"
@@ -195,6 +195,58 @@ class TestDecompose:
         assert code == 3
         assert out == ""
         assert "--verify" in err
+
+    TYPES = {"sl": "3, 4", "sp": "1^2, 4", "so": "1^2, 3"}
+
+    @pytest.mark.parametrize("group, rep, p", [
+        *((group, rep, "3") for group in ("sl", "sp", "so") for rep in ("tensor", "ext2", "sym2", "irr")),
+        *(("sl", rep, "2") for rep in ("tensor", "ext2", "irr")),
+    ])
+    def test_a_wrong_printed_module_fails_the_check(self, capsys, monkeypatch, group, rep, p):
+        # the printed module gains a block of size 1 where it is computed: irr
+        # in the group's carrier, which the rule then cuts down
+        def plus_one(engine):
+            return lambda *a, **k: engine(*a, **k) + JordanType({1: 1})
+
+        if rep == "irr":
+            engine = {"sl": "tensor_dual_type", "sp": "ext2_type", "so": "sym2_type"}[group]
+            monkeypatch.setattr(reports, engine, plus_one(getattr(reports, engine)))
+        else:
+            monkeypatch.setattr(cli, "_module", plus_one(cli._module))
+        code, out, err = run(capsys, "decompose", "--p", p, "--group", group, "--type", self.TYPES[group],
+                             "--rep", rep, "--verify")
+        if (group, rep, p) == ("sl", "ext2", "2"):  # no check reads the exterior square at p = 2
+            assert (code, out) == (3, "") and "--verify" in err
+        else:
+            assert code == 4
+            assert out.splitlines()[-1] == "verified: MISMATCH"
+
+    @pytest.mark.parametrize("rep", ["ext2", "sym2"])
+    def test_a_wrong_pair_in_both_squares_fails_the_sl_check(self, capsys, monkeypatch, rep):
+        # a wrong V_3 tensor V_4 enters ext2, sym2 and V tensor V* alike, so
+        # ext2 + sym2 == V tensor V* still holds; SL's elimination catches it
+        right = oracle._tensor_block_type
+        monkeypatch.setattr(oracle, "_tensor_block_type",
+                            lambda m, n, p: JordanType({1: 12}) if (m, n) == (3, 4) else right(m, n, p))
+        try:
+            code, out, _ = run(capsys, "decompose", "--p", "3", "--type", "3, 4", "--rep", rep, "--verify")
+        finally:
+            right.cache_clear()  # no pair built on the wrong one stays memoized
+        assert code == 4
+        assert out.splitlines()[-1] == "verified: MISMATCH"
+
+    @pytest.mark.parametrize("group", ["sl", "sp", "so"])
+    @pytest.mark.parametrize("rep", ["tensor", "ext2", "sym2", "irr"])
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    def test_each_command_builds_at_most_one_report(self, capsys, monkeypatch, group, rep, verify):
+        calls = []
+        build = cli.build_report
+        monkeypatch.setattr(cli, "build_report", lambda *a, **k: calls.append(a) or build(*a, **k))
+        code, out, _ = run(capsys, "decompose", "--p", "3", "--group", group, "--type", self.TYPES[group],
+                           "--rep", rep, *verify)
+        assert code == 0
+        assert len(calls) <= 1
+        assert out.splitlines()[1:] == (["verified: ok"] if verify else [])
 
 
 class TestSweep:
@@ -479,5 +531,6 @@ class TestArgumentHandling:
             main(["decompose", "--help"])
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
-        assert "SL recomputes the irreducible type by elimination" in text
+        assert "SL recomputes tensor and irr by elimination" in text
         assert "Sp/SO check carrier + other square == V tensor V*" in text
+        assert "any other --rep is checked at odd p by ext2 + sym2 == V tensor V*" in text

@@ -26,7 +26,7 @@ from jordanblocks import (
 )
 from jordanblocks import construction, oracle, recursions, rules
 from jordanblocks.construction import build_adjoint_action
-from jordanblocks.linalg import _working_dtype, dual_action, jordan_block, kronecker
+from jordanblocks.linalg import _working_dtype, block_diagonal, dual_action, jordan_block, kronecker
 from jordanblocks.oracle import jordan_type_of
 from jordanblocks.partitions import alpha_of, nu_p
 
@@ -320,7 +320,7 @@ class TestSplitRoute:
         for n in range(2, 7):
             for t in partitions_of(n):
                 want = jordan_type_of(build_adjoint_action(t, p))
-                assert construction._split_adjoint_type(t, p) == want, t.render()
+                assert construction._split_adjoint_type(t, p)[1] == want, t.render()
 
     def test_no_rule_or_closed_form_is_used(self, monkeypatch):
         # stub every rule and closed form in each module that binds it, and
@@ -342,5 +342,15 @@ class TestSplitRoute:
         for p in (2, 3, 5):
             for n in range(2, 8):
                 for t in partitions_of(n):
-                    want = jordan_type_of(build_adjoint_action(t, p))
+                    u = block_diagonal([jordan_block(d, p) for d, m in t for _ in range(m)])
+                    tensor = jordan_type_of(kronecker(u, dual_action(u)))
+                    want = tensor, jordan_type_of(build_adjoint_action(t, p))
                     assert construction._split_adjoint_type(t, p) == want, (t.render(), p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_tensor_half_matches_the_tensor_engine(self, p):
+        # the rank sum before the diagonal correction is V tensor V* itself
+        for n in range(2, 15):
+            for t in partitions_of(n):
+                want = oracle.tensor_dual_type(t, p)
+                assert construction._split_adjoint_type(t, p)[0] == want, t.render()
