@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .linalg import _working_dtype
 from .partitions import JordanType, parse_jordan_type, partitions_of
-from .reports import _CARRIERS, DecompositionReport, _module, _squares_add_up, _verify, build_report
+from .reports import _module, _verify, build_report
 from .rules import _DOMAINS, GroupContext, validate_classical
 
 __all__ = ["main"]
@@ -64,19 +64,6 @@ def _load_fixture(path: str | None) -> list[FixtureRow]:
     return rows
 
 
-def _check(report: DecompositionReport, rep: str, shown: JordanType) -> bool:
-    """The check that reads the printed module `shown`: the report's own for the carrier
-    and irr, else ext2 + sym2 == V tensor V* beside the carrier, which SL checks as well."""
-    ctx = report.context
-    slot = _CARRIERS[ctx.kind]
-    if rep in ("irr", slot):
-        return _verify(replace(report, carrier=shown) if rep == slot else report)
-    if ctx.p == 2:  # SL ext2 alone: sym2, Sp and SO need odd p
-        raise ValueError("no check reads the exterior square at p = 2")
-    tied = _squares_add_up(report.input_type, ctx.p, **{rep: shown, slot: report.carrier})
-    return tied and (ctx.kind != "SL" or _verify(report))
-
-
 def cmd_decompose(args: argparse.Namespace) -> int:
     t = parse_jordan_type(args.type)
     ctx = GroupContext(_GROUPS[args.group], t.dim, args.p)
@@ -89,7 +76,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.verify:
         try:  # the answer is built, so only the check can refuse here
             report = report or build_report(t, ctx)
-            report = replace(report, verified=_check(report, args.rep, shown))
+            printed = {} if args.rep == "irr" else {args.rep: shown}
+            report = replace(report, verified=_verify(report, **printed))
         except ValueError as exc:
             raise ValueError(f"{exc}; drop --verify to get the answer without the check") from None
     if args.json:

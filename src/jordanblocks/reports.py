@@ -3,11 +3,9 @@
 A report bundles everything one query produces: the group context, the
 input Jordan type, the carrier type (V tensor V* for SL, exterior square
 for Sp, symmetric square for SO), the irreducible type, and the rule case
-that produced it. Verification checks the answer by a route that calls no
-rule: for SL it recomputes the carrier and the irreducible type by
-elimination, for Sp and SO it checks that the two squares add up to
-V tensor V*. `decompose --verify` checks the carrier and `irr` this way,
-and any other module by that identity at odd p beside the report's carrier.
+that produced it. `_verify` checks it by a route that calls no rule, and it
+alone decides, and states, which check reads which module; `decompose
+--verify` passes it the module that it prints.
 """
 
 from __future__ import annotations
@@ -29,9 +27,9 @@ class DecompositionReport:
     """One decomposition query's full result.
 
     verified is None when no check was requested, otherwise whether the
-    carrier and the irreducible type recomputed by elimination agree (SL),
-    or whether the carrier plus the other square equals V tensor V* (Sp/SO,
-    whose irreducible type is the rule applied to that carrier).
+    check that `_verify` chose for the group passed: on the carrier and the
+    irreducible type here, or, from `decompose --verify`, on the module that
+    the CLI printed and passed in.
     """
 
     context: GroupContext
@@ -65,33 +63,32 @@ def _module(
     return engine(t, p, max_entries=max_entries)
 
 
-def _squares_add_up(
-    t: JordanType, p: int, max_entries: int = DEFAULT_MAX_ENTRIES, **known: JordanType
+def _verify(
+    report: DecompositionReport, max_entries: int = DEFAULT_MAX_ENTRIES, **printed: JordanType
 ) -> bool:
-    """ext2 + sym2 == tensor, as ∧²V ⊕ S²V = V ⊗ V ≅ V ⊗ V* at odd p; computes the rest."""
-    m = {name: known[name] if name in known else _module(name, t, p, max_entries)
-         for name in ("ext2", "sym2", "tensor")}
-    return m["ext2"] + m["sym2"] == m["tensor"]
+    """The one check `--verify` makes, by a route that calls no rule.
 
-
-def _verify(report: DecompositionReport, max_entries: int = DEFAULT_MAX_ENTRIES) -> bool:
-    """Check the report's answer by a route that calls no rule.
-
-    SL: `construction._split_adjoint_type` recomputes the carrier and the
-    irreducible type from the memoized ranks of the pieces V_r tensor V_s^*,
-    each from graded blocks at most min(r, s) wide, and two invariants per
-    block size from the same call as End(V_d), d + 2 wide; it uses no rule,
-    no tensor-pair closed form and no elimination wider than that.
-    Sp/SO: the carrier plus the other square must equal V tensor V*, which
-    is rule(carrier) + other == adjoint_rule(V tensor V*) with the block
-    changes all three rules share taken off both sides. It checks how the
-    squares are assembled from the memoized tensor pairs, not the pairs or
-    the rules.
+    `printed` is the module `decompose` shows (tensor, ext2 or sym2; none for
+    irr). It stands in its slot, the report's carrier in the group's own.
+    - SL tensor or irr: `construction._split_adjoint_type` recomputes both from
+      memoized graded eliminations at most min(r, s) wide per piece V_r tensor
+      V_s^*, and d + 2 wide for End(V_d); no tensor-pair closed form.
+    - Sp/SO any rep, SL ext2 or sym2 at odd p: ext2 + sym2 == tensor, as
+      ∧²V ⊕ S²V = V ⊗ V ≅ V ⊗ V*, the missing modules computed under
+      max_entries; for Sp/SO irr, rule(carrier) + other == adjoint_rule(tensor)
+      less the block changes the rules share. It reads how the squares are
+      assembled from the memoized pairs, not the pairs, so SL adds the above.
+    - SL ext2 or sym2 at p = 2: ValueError, before any elimination.
     """
     t, ctx = report.input_type, report.context
-    if ctx.kind == "SL":
-        return (report.carrier, report.irreducible) == _split_adjoint_type(t, ctx.p)
-    return _squares_add_up(t, ctx.p, max_entries, **{_CARRIERS[ctx.kind]: report.carrier})
+    known = {_CARRIERS[ctx.kind]: report.carrier, **printed}
+    if known.keys() == {"tensor"}:
+        return (known["tensor"], report.irreducible) == _split_adjoint_type(t, ctx.p)
+    if ctx.p == 2:
+        raise ValueError("no check reads the exterior square at p = 2")
+    m = {name: known[name] if name in known else _module(name, t, ctx.p, max_entries)
+         for name in ("ext2", "sym2", "tensor")}
+    return m["ext2"] + m["sym2"] == m["tensor"] and (ctx.kind != "SL" or _verify(report))
 
 
 def build_report(

@@ -1,4 +1,5 @@
-"""The package's modules import each other without a cycle.
+"""The package's modules import each other without a cycle, and cross
+each other's private names only where the list below says.
 
 Read from the source with `ast`, not by importing: every intra-package
 import counts, including one inside a function body, where a cycle would
@@ -51,6 +52,34 @@ def test_the_import_graph_is_acyclic():
 
 def test_the_closed_forms_import_only_partitions():
     assert GRAPH["recursions"] == {"partitions"}
+
+
+# (importer, owner, name): a module that takes another's private name. A new
+# crossing is added here in the change that makes it.
+PRIVATE_CROSSINGS = {
+    ("cli", "linalg", "_working_dtype"),
+    ("cli", "reports", "_module"),
+    ("cli", "reports", "_verify"),
+    ("cli", "rules", "_DOMAINS"),
+    ("construction", "linalg", "_working_dtype"),
+    ("construction", "oracle", "_blocks_from_ranks"),
+    ("construction", "oracle", "_checked"),
+    ("construction", "oracle", "_echelon"),
+    ("oracle", "linalg", "_working_dtype"),
+    ("reports", "construction", "_split_adjoint_type"),
+}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = {
+        (path.stem, node.module.split(".")[0], alias.name)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert found == PRIVATE_CROSSINGS
 
 
 @pytest.mark.parametrize(

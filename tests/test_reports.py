@@ -1,11 +1,11 @@
-"""Tests for reports: the verify workload's reference replayed, and the Sp/SO
-check shown able to fail."""
+"""Tests for reports: the verify workload's reference replayed, the Sp/SO
+check shown able to fail, and a raised cap shown to reach it."""
 
 from pathlib import Path
 
 import pytest
 
-from jordanblocks import GroupContext, JordanType, build_report, parse_jordan_type, reports
+from jordanblocks import GroupContext, JordanType, OracleCapError, build_report, parse_jordan_type, reports
 from jordanblocks.cli import main
 
 VERIFY_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify.txt"
@@ -46,3 +46,14 @@ class TestSquareVerification:
         code = main(["decompose", "--p", "3", "--group", group, "--type", JordanType(blocks).render(), "--verify"])
         assert code == 4
         assert capsys.readouterr().out.splitlines()[-1] == "verified: MISMATCH"
+
+
+@pytest.mark.parametrize("group, size", [("Sp", 16), ("SO", 15)])
+def test_a_raised_cap_reaches_the_check(group, size):
+    # the answer is one square of V_size, under the default cap; the check
+    # also needs V tensor V*, whose side size^2 is past it until max_entries is raised
+    t, ctx = JordanType({size: 1}), GroupContext(group, size, 3)
+    side = size * size
+    with pytest.raises(OracleCapError, match=f"{side}x{side}"):
+        build_report(t, ctx, verify=True)
+    assert build_report(t, ctx, verify=True, max_entries=side**2).verified is True
