@@ -9,8 +9,10 @@ The SL verify route builds no matrix: it sums the module's ranks piece by
 piece, each V_r tensor V_s^* from the graded blocks of X^k on
 k[x, v]/(x^r, v^s) in one tagged call at most min(r, s) wide (d + 2 for
 End(V_d), which also counts the two invariants per block size that correct
-the diagonal part). V tensor V*'s blocks are read off the sum and L's off
-the corrected sum: SL `--verify` checks `--rep tensor` and `irr` with these.
+the diagonal part). X^k's block from degree d is the transpose of its
+block from r + s - 2 - k - d, so only the lower half is eliminated. V tensor
+V*'s blocks are read off the sum and L's off the corrected sum: SL
+`--verify` checks `--rep tensor` and `irr` with these.
 """
 
 from __future__ import annotations
@@ -95,9 +97,13 @@ def _piece_ranks(r: int, s: int, p: int) -> tuple[tuple[int, ...], tuple[int, in
     X^k maps R_d = span{x^i v^(d-i)} into R_(d+k) by
     x^i v^j -> sum_a C(k, a) x^(i+a) v^(j+k-a), truncated. So rank X^k is
     the sum over d of the ranks of these binomial blocks. A block's columns
-    are the exponents of x in R_(d+k), so it is at most r = min(r, s) wide;
-    the rows of every block of every power go through one `_echelon` call,
-    tagged by (k, d), and no r*s-wide row is ever formed.
+    are the exponents of x in R_(d+k), so it is at most r = min(r, s) wide.
+    Pairing x^i v^j with x^(r-1-i) v^(s-1-j) swaps R_d and R_(top-d), top =
+    r + s - 2, and both blocks read C(k, c - i), so block (k, d) is block
+    (k, top - k - d) transposed. Only blocks with 2d <= top - k are kept,
+    each counted twice but the middle one, 2d = top - k; their rows go
+    through one `_echelon` call, tagged by (k, d), and no r*s-wide row is
+    ever formed.
 
     On End(V_d), with eps the trace, h = max{k : I in im X^k} and c = eps(w)
     for any w with X^h(w) = I. X(A) = [N, A] u^-1 with N = u - 1, so
@@ -110,13 +116,14 @@ def _piece_ranks(r: int, s: int, p: int) -> tuple[tuple[int, ...], tuple[int, in
     While I is in im X^k, eps kills ker X^k (the trace pairing is
     u-invariant), so the block holds a row (0, e, m), m != 0, and
     c = -e / m; for h < k < d the probe adds an image pivot, taken off
-    again. With no such row, h = 0 and X^0 = 1 gives (0, -tr I, 1).
+    twice, as its block (k >= 1) is counted twice. With no such row, h = 0
+    and X^0 = 1 gives (0, -tr I, 1).
     """
     dtype = _working_dtype(p, 2)  # refuses a too-large p before any arithmetic
     top = r + s - 2  # highest degree, so X^(top+1) = 0
     i, j = np.divmod(np.arange(r * s), s)
-    # X^k can be nonzero only on R_d with d <= top - k: one row per such (k, source)
-    k, src = np.nonzero(i + j <= top - np.arange(1, top + 1)[:, None])
+    # one row per (k, source) of each block with 2d <= top - k; its mirror repeats it
+    k, src = np.nonzero(2 * (i + j) <= top - np.arange(1, top + 1)[:, None])
     k += 1
     i, deg = i[src], i[src] + j[src]
 
@@ -133,11 +140,11 @@ def _piece_ranks(r: int, s: int, p: int) -> tuple[tuple[int, ...], tuple[int, in
         work[k.size :, r + 1] = 1
         k, deg = np.concatenate([k, probes]), np.concatenate([deg, r - 1 - probes])
 
-    blocks, tags = np.unique(k * (top + 1) + deg, return_inverse=True)
-    basis, pivot_tags = _echelon(work, p, tags)
-    power = blocks[pivot_tags] // (top + 1)
+    basis, pivot_tags = _echelon(work, p, k * (top // 2 + 1) + deg)  # kept d <= top / 2
+    power, deg = np.divmod(pivot_tags, top // 2 + 1)
     image = basis[:, :r].any(axis=1)  # rows (0, e, m) count in no rank
-    ranks = np.bincount(power[image], minlength=top + 2)
+    twice = image & (2 * deg + power < top)  # each block but the middle one has a mirror
+    ranks = sum(np.bincount(power[rows], minlength=top + 2) for rows in (image, twice))
     ranks[0] = r * s
     invariants = None
     if r == s:
@@ -145,7 +152,7 @@ def _piece_ranks(r: int, s: int, p: int) -> tuple[tuple[int, ...], tuple[int, in
         h = int(power[member].max(initial=0))
         e, m = basis[member & (power == h)][0, r:].tolist() if h else (-r, 1)
         invariants = h, -e * pow(m, -1, p) % p
-        ranks[h + 1 : r] -= 1
+        ranks[h + 1 : r] -= 2  # the probe's block has a mirror
     ranks = ranks.tolist()
     return tuple(ranks[: ranks.index(0) + 1]), invariants
 

@@ -87,7 +87,10 @@ def graded_engine(m: int, n: int, p: int) -> JordanType:
 
     This is `construction._piece_ranks`, the engine `--verify` runs, with its
     memo bypassed so that every call eliminates; V_n* has the type of V_n, so
-    its ranks on V_m (x) V_n* are those on V_m (x) V_n.
+    its ranks on V_m (x) V_n* are those on V_m (x) V_n. It eliminates only
+    the graded blocks with 2d <= top - k and counts their mirrors twice;
+    `test_graded_engine_matches_shift_chain` holds it to the unhalved shift
+    chain, which ranks every power on all of V_m (x) V_n.
     """
     ranks, _ = construction._piece_ranks.__wrapped__(min(m, n), max(m, n), p)
     return oracle._blocks_from_ranks(ranks)

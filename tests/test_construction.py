@@ -24,7 +24,7 @@ from jordanblocks import (
     build_report,
     partitions_of,
 )
-from jordanblocks import construction, oracle, recursions, rules
+from jordanblocks import construction, linalg, oracle, recursions, rules
 from jordanblocks.construction import build_adjoint_action
 from jordanblocks.linalg import _working_dtype, block_diagonal, dual_action, jordan_block, kronecker
 from jordanblocks.oracle import jordan_type_of
@@ -217,19 +217,30 @@ def verify_peak(t: JordanType, p: int) -> tuple[bool, int]:
     return report.verified, peak
 
 
-@pytest.fixture
-def echelon_widths(monkeypatch):
-    """The width of every `_echelon` call, watched through both modules' names."""
-    widths = []
+def watch_echelon(monkeypatch, read) -> list:
+    """read(work) for every `_echelon` call, watched through both modules' names."""
+    seen = []
     echelon = oracle._echelon
 
     def recorded(work, *args):
-        widths.append(work.shape[1])
+        seen.append(read(work))
         return echelon(work, *args)
 
     monkeypatch.setattr(construction, "_echelon", recorded)
     monkeypatch.setattr(oracle, "_echelon", recorded)
-    return widths
+    return seen
+
+
+@pytest.fixture
+def echelon_widths(monkeypatch):
+    """The width of every `_echelon` call."""
+    return watch_echelon(monkeypatch, lambda work: work.shape[1])
+
+
+@pytest.fixture
+def echelon_rows(monkeypatch):
+    """The number of rows of every `_echelon` call."""
+    return watch_echelon(monkeypatch, lambda work: work.shape[0])
 
 
 class TestVerifyMemory:
@@ -250,14 +261,14 @@ class TestVerifyMemory:
 
     def test_the_per_size_invariants_stay_small(self):
         # End(V_40) is 1600-dimensional; its piece ranks and invariants come
-        # from one call on 62 439 graded rows 42 wide
+        # from one call on 21 359 graded rows 42 wide
         tracemalloc.start()
         try:
             assert construction._piece_ranks.__wrapped__(40, 40, 2)[1] == (7, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24_000_000
+        assert peak < 12_000_000
 
 
 class TestBinomialRows:
@@ -271,6 +282,46 @@ class TestBinomialRows:
         below = np.arange(width) - shift[:, None]  # C(k, c - shift) at column c
         want = np.where(below >= 0, lucas[k[:, None], np.maximum(below, 0)], 0)
         assert np.array_equal(got, want)
+
+
+def graded_block(r: int, s: int, k: int, d: int, p: int) -> np.ndarray:
+    """X^k's block R_d -> R_(d+k) on k[x, v]/(x^r, v^s), rows and columns the
+    valid exponents of x in ascending order: x^i v^(d-i) -> C(k, c - i) at x^c."""
+    rows = [i for i in range(r) if 0 <= d - i < s]
+    cols = [c for c in range(r) if 0 <= d + k - c < s]
+    return np.array([[binom_mod_p(k, c - i, p) if c >= i else 0 for c in cols] for i in rows])
+
+
+def kept_rows(r: int, s: int) -> int:
+    """Rows of the blocks (k, d) with 2d <= top - k, k >= 1, plus the r - 1
+    invariant probes of a diagonal piece."""
+    top = r + s - 2
+    degrees = [i + j for i in range(r) for j in range(s)]
+    kept = sum(2 * d <= top - k for k in range(1, top + 1) for d in degrees)
+    return kept + (r - 1) * (r == s)
+
+
+class TestGradedDuality:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_mirror_blocks_have_equal_rank(self, p):
+        # x^i v^j <-> x^(r-1-i) v^(s-1-j) pairs R_d with R_(top-d), and both
+        # blocks read C(k, c - i), so block (k, top - k - d) is block (k, d)
+        # transposed; ranked by rref, not by the `_echelon` under test
+        for s in range(1, 13):
+            for r in range(1, s + 1):
+                top = r + s - 2
+                for k in range(1, top + 1):
+                    for d in range(top - k + 1):
+                        block, mirror = graded_block(r, s, k, d, p), graded_block(r, s, k, top - k - d, p)
+                        assert np.array_equal(mirror, block[::-1, ::-1].T), (r, s, k, d)
+                        assert len(linalg.rref(block, p)[1]) == len(linalg.rref(mirror, p)[1]), (r, s, k, d)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_pieces_eliminate_only_the_kept_half(self, echelon_rows, p):
+        # all blocks would be 13 271 rows for (24, 24) and 1 794 for (12, 13)
+        construction._piece_ranks.__wrapped__(24, 24, p)
+        construction._piece_ranks.__wrapped__(12, 13, p)
+        assert echelon_rows == [kept_rows(24, 24), kept_rows(12, 13)] == [4623, 650]
 
 
 class TestSplitRoute:
