@@ -23,7 +23,7 @@ from .rules import _DOMAINS, GroupContext, validate_classical
 
 __all__ = ["main"]
 
-_GROUPS = {"sl": "SL", "sp": "Sp", "so": "SO"}
+_GROUPS = {kind.lower(): kind for kind in _DOMAINS}
 
 FixtureRow = tuple[int, int, JordanType, JordanType, JordanType]
 

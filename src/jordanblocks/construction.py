@@ -76,8 +76,7 @@ def _binomial_rows(k: np.ndarray, shift: np.ndarray, width: int, p: int, dtype) 
     pascal = np.zeros((int(k.max(initial=0)) + 1, 2 * width), dtype=np.int64)
     pascal[0, width] = 1
     for row in range(1, pascal.shape[0]):
-        pascal[row] = pascal[row - 1]
-        pascal[row, width + 1 :] += pascal[row - 1, width:-1]
+        np.add(pascal[row - 1, 1:], pascal[row - 1, :-1], out=pascal[row, 1:])
         pascal[row] %= p
     windows = np.lib.stride_tricks.sliding_window_view(pascal.astype(dtype), width, axis=1)
     return windows[k, width - shift]

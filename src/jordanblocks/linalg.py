@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .partitions import PrimeChar
+from .partitions import characteristic
 
 
 def _working_dtype(p: int, terms: int):
@@ -40,7 +40,7 @@ class PrimeFieldMatrix:
     __slots__ = ("array", "p")
 
     def __init__(self, entries, p: int):
-        p = int(PrimeChar(p))
+        p = characteristic(p)
         _working_dtype(p, 2)
         arr = np.asarray(entries, dtype=np.int64)
         if arr.ndim != 2:
@@ -81,9 +81,6 @@ class PrimeFieldMatrix:
         return self.p == other.p and self.array.shape == other.array.shape and bool(
             np.array_equal(self.array, other.array)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.array.shape, self.array.tobytes()))
 
     def __repr__(self) -> str:
         return f"PrimeFieldMatrix({self.array.tolist()!r}, p={self.p})"

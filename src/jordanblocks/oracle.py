@@ -21,7 +21,7 @@ lower half of its graded blocks, each upper one a lower one transposed
 arithmetic is integer, in the narrowest dtype (int8 to int64) that
 `linalg._working_dtype` picks for the elimination's bound at p; a prime
 too large for int64 is refused. The closed forms need no such bound: they
-answer at every prime `PrimeChar` accepts.
+answer at every prime `characteristic` accepts.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import PrimeFieldMatrix, _working_dtype
-from .partitions import JordanType, PrimeChar
+from .partitions import JordanType, characteristic
 from .recursions import clebsch_gordan, free_rule, reflect_rule, two_level_rule
 
 DEFAULT_MAX_ENTRIES = 40_000
@@ -146,15 +146,9 @@ def _rank_chain(times_x, n: int, p: int, dtype) -> list[int]:
 
 
 def _blocks_from_ranks(ranks: list[int]) -> JordanType:
-    blocks = {}
-    for m in range(1, len(ranks)):
-        before = ranks[m - 1]
-        at = ranks[m]
-        after = ranks[m + 1] if m + 1 < len(ranks) else 0
-        mult = before + after - 2 * at
-        if mult:
-            blocks[m] = mult
-    return JordanType(blocks)
+    r = [*ranks, 0]
+    pairs = ((m, r[m - 1] - 2 * r[m] + r[m + 1]) for m in range(1, len(ranks)))
+    return JordanType((m, mult) for m, mult in pairs if mult)
 
 
 def _checked(t: JordanType, dim: int) -> JordanType:
@@ -227,7 +221,7 @@ def tensor_block_type(
         raise TypeError(f"sizes m and n must be integers, got {m!r} and {n!r}") from None
     if lo < 1:
         raise ValueError("tensor factors must have positive dimension")
-    p = int(PrimeChar(p))
+    p = characteristic(p)
     _check_cap(lo * hi, max_entries)
     return _tensor_block_type(lo, hi, p)
 
@@ -272,7 +266,7 @@ def tensor_dual_type(
     """
     if not t:
         raise ValueError("empty Jordan type")
-    p = int(PrimeChar(p))
+    p = characteristic(p)
     _check_cap(t.max_size**2, max_entries)
     blocks = list(t)
     pieces = [
@@ -292,7 +286,7 @@ def _square_type(
     product (`_tensor_block_type`), each capped before it is read."""
     if not t:
         raise ValueError("empty Jordan type")
-    p = int(PrimeChar(p))
+    p = characteristic(p)
     side = -1 if alternating else 1
     pieces: list[tuple[int, int]] = []
     blocks = list(t)
@@ -318,6 +312,6 @@ def sym2_type(
     t: JordanType, p: int, *, max_entries: int = DEFAULT_MAX_ENTRIES
 ) -> JordanType:
     """Jordan type of u on the symmetric square of V; needs p > 2."""
-    if PrimeChar(p) == 2:
-        raise ValueError("sym2_type requires p > 2")
+    if characteristic(p) == 2:
+        raise ValueError("the symmetric square requires p > 2")
     return _square_type(t, p, False, max_entries)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .partitions import JordanType, PrimeChar
+from .partitions import JordanType, characteristic
 
 __all__ = ["clebsch_gordan", "free_rule", "gpx_scale", "reflect_rule", "two_level_rule"]
 
@@ -31,7 +31,7 @@ def gpx_scale(base: JordanType, alpha: int, p: int) -> JordanType:
     """
     if alpha < 0:
         raise ValueError(f"scaling exponent must be non-negative, got {alpha}")
-    q = int(PrimeChar(p)) ** alpha
+    q = characteristic(p) ** alpha
     return JordanType({size * q: mult * q for size, mult in base})
 
 
@@ -44,7 +44,7 @@ def reflect_rule(m: int, n: int, p: int, folded: JordanType) -> JordanType:
     m + n - q blocks of size q plus folded. Raises ValueError when no power
     of p lies in the window or folded has the wrong dimension.
     """
-    q = p = int(PrimeChar(p))
+    q = p = characteristic(p)
     while q <= max(m, n):
         q *= p
     if q >= m + n:
@@ -71,7 +71,7 @@ def two_level_rule(
     ValueError outside the domain and AssertionError on a negative
     coefficient.
     """
-    p = int(PrimeChar(p))
+    p = characteristic(p)
     q = 1
     while q * p < max(m, n):
         q *= p
@@ -112,7 +112,7 @@ def free_rule(m: int, alpha: int, p: int) -> JordanType:
     """
     if alpha < 1:
         raise ValueError(f"exponent must be positive, got {alpha}")
-    q = int(PrimeChar(p)) ** alpha
+    q = characteristic(p) ** alpha
     if not 1 <= m <= q:
         raise ValueError(f"factor dimension {m} must lie in 1..{q}")
     return JordanType({q: m})

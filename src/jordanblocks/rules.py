@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .partitions import JordanType, PrimeChar, alpha_of
+from .partitions import JordanType, alpha_of, characteristic
 
 __all__ = [
     "GroupContext",
@@ -51,7 +51,7 @@ class GroupContext:
         if self.kind not in _DOMAINS:
             raise ValueError(f"kind must be one of {tuple(_DOMAINS)}, got {self.kind!r}")
         object.__setattr__(self, "n", operator.index(self.n))
-        object.__setattr__(self, "p", int(PrimeChar(self.p)))
+        object.__setattr__(self, "p", characteristic(self.p))
         least, step, _ = _DOMAINS[self.kind]
         if self.n < least or (self.n - least) % step:
             even = "even " * (step == 2)
@@ -117,7 +117,7 @@ def rule_case(t: JordanType, p: int) -> str:
     sub-case depends on whether p still divides n / p^alpha and on whether
     p^alpha exceeds 2.
     """
-    return _case(t, int(PrimeChar(p)))[0]
+    return _case(t, characteristic(p))[0]
 
 
 def _rule(carrier: JordanType, t: JordanType, ctx: GroupContext, kind: str) -> JordanType:

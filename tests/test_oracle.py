@@ -94,6 +94,13 @@ class TestJordanTypeOf:
         C = PrimeFieldMatrix(arr, 3)
         assert jordan_type_of(C @ M @ inverse(C)) == t
 
+    def test_blocks_from_ranks_reads_back_every_partition(self):
+        # r_k = rank X^k = sum of mult * max(0, size - k), down to the first 0
+        for n in range(1, 17):
+            for t in partitions_of(n):
+                ranks = [sum(m * max(0, s - k) for s, m in t) for k in range(t.max_size + 1)]
+                assert oracle._blocks_from_ranks(ranks) == t, ranks
+
     def test_identity_is_all_ones(self):
         assert jordan_type_of(PrimeFieldMatrix(np.eye(6, dtype=np.int64), 7)) == JordanType({1: 6})
 

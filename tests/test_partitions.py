@@ -21,7 +21,7 @@ from jordanblocks import (
     tensor_dual_type,
 )
 from jordanblocks.construction import build_adjoint_action
-from jordanblocks.partitions import PrimeChar, alpha_of, nu_p
+from jordanblocks.partitions import alpha_of, characteristic, nu_p
 from helpers import binom_mod_p, clear_memos
 
 PRIMES = [2, 3, 5, 7]
@@ -129,25 +129,29 @@ class TestParse:
             parse_jordan_type(text)
 
 
-class TestPrimeChar:
+class TestCharacteristic:
     @pytest.mark.parametrize("p", PRIMES + [11, 13, 97])
     def test_accepts_primes(self, p):
-        q = PrimeChar(p)
+        q = characteristic(p)
         assert q == p
         assert isinstance(q, int)
 
     @pytest.mark.parametrize("p", [-2, 0, 1, 4, 6, 9, 15, 91])
     def test_rejects_non_primes(self, p):
         with pytest.raises(ValueError):
-            PrimeChar(p)
+            characteristic(p)
 
     def test_primality_is_decided_only_where_it_is_exact(self):
         # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin at all
         # twelve bases 2..37; every 64-bit integer lies below it
         psi12 = 318665857834031151167461
         with pytest.raises(ValueError, match=f"{psi12}.*{psi12}"):
-            PrimeChar(psi12)
-        assert PrimeChar(18446744073709551557) == 2**64 - 59
+            characteristic(psi12)
+        assert characteristic(18446744073709551557) == 2**64 - 59
+
+    @pytest.mark.parametrize("p", [3, np.int8(3), np.int64(3), np.uint64(3)])
+    def test_returns_a_plain_int(self, p):
+        assert type(characteristic(p)) is int
 
 
 class TestIntegerArguments:
