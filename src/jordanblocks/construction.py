@@ -7,17 +7,17 @@ divides dim V) as one explicit matrix, the tests' whole-module referee.
 
 The SL verify route builds no matrix: it sums the module's ranks piece by
 piece, each V_r tensor V_s^* from the graded blocks of X^k on
-k[x, v]/(x^r, v^s) in one tagged call at most min(r, s) wide (d + 2 for
-End(V_d), which also counts the two invariants per block size that correct
-the diagonal part). X^k's block from degree d is the transpose of its
-block from r + s - 2 - k - d, so only the lower half is eliminated. V tensor
-V*'s blocks are read off the sum and L's off the corrected sum: SL
-`--verify` checks `--rep tensor` and `irr` with these.
+k[x, v]/(x^r, v^s), at most min(r, s) wide (d + 2 for End(V_d), which also
+counts the two invariants per block size that correct the diagonal part).
+X^k's block from degree d is the transpose of its block from
+r + s - 2 - k - d, so only the lower half is eliminated. The pieces of a
+type that are not memoized yet share one `_echelon` call, tagged by
+(piece, k, d), cut only where its rows pass a fixed budget. V tensor V*'s blocks are read
+off the sum and L's off the corrected sum: SL `--verify` checks
+`--rep tensor` and `irr` with these.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -82,11 +82,41 @@ def _binomial_rows(k: np.ndarray, shift: np.ndarray, width: int, p: int, dtype) 
     return windows[k, width - shift]
 
 
-@lru_cache(maxsize=None)
-def _piece_ranks(r: int, s: int, p: int) -> tuple[tuple[int, ...], tuple[int, int] | None]:
-    """Ranks of X^0, X^1, ... down to the first 0 on V_r tensor V_s^*, r <= s,
-    from graded blocks at most r wide, and, when r == s = d, the invariants
-    (h, c) of End(V_d) from the same call; None when r != s.
+# The most rows one `_echelon` call takes for a batch of pieces; a piece with
+# more goes alone.
+_ROW_BUDGET = 4096
+
+# A piece's ranks of X^0, X^1, ... down to 0, and its invariants (h, c) or None.
+_Piece = tuple[tuple[int, ...], tuple[int, int] | None]
+
+# (r, s, p) -> `_eliminate_pieces`' answer for (r, s), filled a batch at a time.
+_piece_memo: dict[tuple[int, int, int], _Piece] = {}
+
+
+def _kept_rows(r: int, s: int) -> int:
+    """The rows that piece (r, s) puts into `_echelon`: one per power
+    1 <= k <= top - 2(i + j) of each x^i v^j, plus r - 1 probes when r == s."""
+    top, rows = r + s - 2, (r - 1) * (r == s)
+    for i in range(r):
+        reach = top - 2 * i  # x^i v^j gives reach - 2j rows while that is positive
+        rows += max((reach + 1) // 2, 0) * (reach // 2 + 1)
+    return rows
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index) for every 0 <= index < counts[owner], in order."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+
+
+def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
+    """For each piece (r, s), r <= s, of keys: the ranks of X^0, X^1, ...
+    down to the first 0 on V_r tensor V_s^*, and, when r == s = d, the
+    invariants (h, c) of End(V_d); None when r != s.
+
+    The pieces go through one tagged `_echelon` call, cut into several only
+    where their rows would pass `_ROW_BUDGET`; each call is max r wide, plus
+    2 if it holds a diagonal piece.
 
     V_s^* is isomorphic to V_s as a k[u]-module, so X^k has the same ranks
     on V_r tensor V_s^* as on V_r tensor V_s = k[x, y]/(x^r, y^s). There
@@ -100,9 +130,8 @@ def _piece_ranks(r: int, s: int, p: int) -> tuple[tuple[int, ...], tuple[int, in
     Pairing x^i v^j with x^(r-1-i) v^(s-1-j) swaps R_d and R_(top-d), top =
     r + s - 2, and both blocks read C(k, c - i), so block (k, d) is block
     (k, top - k - d) transposed. Only blocks with 2d <= top - k are kept,
-    each counted twice but the middle one, 2d = top - k; their rows go
-    through one `_echelon` call, tagged by (k, d), and no r*s-wide row is
-    ever formed.
+    each counted twice but the middle one, 2d = top - k; their rows are
+    tagged by (piece, k, d), and no r*s-wide row is ever formed.
 
     On End(V_d), with eps the trace, h = max{k : I in im X^k} and c = eps(w)
     for any w with X^h(w) = I. X(A) = [N, A] u^-1 with N = u - 1, so
@@ -118,42 +147,78 @@ def _piece_ranks(r: int, s: int, p: int) -> tuple[tuple[int, ...], tuple[int, in
     twice, as its block (k >= 1) is counted twice. With no such row, h = 0
     and X^0 = 1 gives (0, -tr I, 1).
     """
+    out, batch, rows = [], [], 0
+    for key in keys:
+        size = _kept_rows(*key)
+        if batch and rows + size > _ROW_BUDGET:
+            out += _eliminate_batch(batch, p)
+            batch, rows = [], 0
+        batch.append(key)
+        rows += size
+    return out + _eliminate_batch(batch, p) if batch else out
+
+
+def _eliminate_batch(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
+    """`_eliminate_pieces` for keys in one `_echelon` call."""
     dtype = _working_dtype(p, 2)  # refuses a too-large p before any arithmetic
+    r, s = np.array(keys).T
     top = r + s - 2  # highest degree, so X^(top+1) = 0
-    i, j = np.divmod(np.arange(r * s), s)
+    diagonal = r == s
+    wide = int(r.max())
     # one row per (k, source) of each block with 2d <= top - k; its mirror repeats it
-    k, src = np.nonzero(2 * (i + j) <= top - np.arange(1, top + 1)[:, None])
+    piece, mono = _ragged(r * s)
+    i, j = np.divmod(mono, s[piece])
+    source, k = _ragged(np.maximum(top[piece] - 2 * (i + j), 0))
     k += 1
-    i, deg = i[src], i[src] + j[src]
+    piece, i, deg = piece[source], i[source], i[source] + j[source]
 
-    probes = np.arange(1, r) if r == s else np.arange(0)
-    work = np.zeros((k.size + probes.size, r + 2 * (r == s)), dtype=dtype)
-    work[: k.size, :r] = _binomial_rows(k, i, r, p, dtype)
-    # the exponent of v in the image stays below s while that of x is >= low
-    low = deg + k - (s - 1)
-    work[: k.size, :r][np.arange(r) < low[:, None]] = 0
-    if r == s:
-        sign = (1 - 2 * (np.arange(r) & 1)) % p
-        work[: k.size, r] = np.where(deg + k == r - 1, sign[i], 0)
-        work[k.size :, :r] = sign
-        work[k.size :, r + 1] = 1
-        k, deg = np.concatenate([k, probes]), np.concatenate([deg, r - 1 - probes])
+    probe_piece, probe_k = _ragged(np.where(diagonal, r - 1, 0))
+    work = np.zeros((k.size + probe_k.size, wide + 2 * diagonal.any()), dtype=dtype)
+    image = work[: k.size, :wide]
+    image[:] = _binomial_rows(k, i, wide, p, dtype)
+    # the exponent of x stays below r, and that of v below s while that of x is >= low
+    low = deg + k - (s[piece] - 1)
+    column = np.arange(wide)
+    image[(column < low[:, None]) | (column >= r[piece][:, None])] = 0
+    if diagonal.any():
+        sign = (1 - 2 * (column & 1)) % p
+        on_identity = diagonal[piece] & (deg + k == r[piece] - 1)
+        work[: k.size, -2] = np.where(on_identity, sign[i], 0)
+        work[k.size :, :wide] = np.where(column < r[probe_piece][:, None], sign, 0)
+        work[k.size :, -1] = 1
+        probe_k += 1
+        piece = np.concatenate([piece, probe_piece])
+        k = np.concatenate([k, probe_k])
+        deg = np.concatenate([deg, r[probe_piece] - 1 - probe_k])
 
-    basis, pivot_tags = _echelon(work, p, k * (top // 2 + 1) + deg)  # kept d <= top / 2
-    power, deg = np.divmod(pivot_tags, top // 2 + 1)
-    image = basis[:, :r].any(axis=1)  # rows (0, e, m) count in no rank
-    twice = image & (2 * deg + power < top)  # each block but the middle one has a mirror
-    ranks = sum(np.bincount(power[rows], minlength=top + 2) for rows in (image, twice))
-    ranks[0] = r * s
-    invariants = None
-    if r == s:
-        member = ~image & (basis[:, -1] != 0)
-        h = int(power[member].max(initial=0))
-        e, m = basis[member & (power == h)][0, r:].tolist() if h else (-r, 1)
-        invariants = h, -e * pow(m, -1, p) % p
-        ranks[h + 1 : r] -= 2  # the probe's block has a mirror
+    # piece b's tags (k, d), d <= top / 2, follow those of the pieces before it
+    half = top // 2 + 1
+    span = (top + 1) * half
+    offset = np.cumsum(span) - span
+    basis, pivot_tags = _echelon(work, p, offset[piece] + k * half[piece] + deg)
+    piece = np.searchsorted(offset, pivot_tags, side="right") - 1
+    power, deg = np.divmod(pivot_tags - offset[piece], half[piece])
+    in_image = basis[:, :wide].any(axis=1)  # rows (0, e, m) count in no rank
+    twice = in_image & (2 * deg + power < top[piece])  # each block but the middle one has a mirror
+    powers = np.arange(top.max() + 2)
+    flat = piece * powers.size + power
+    ranks = sum(np.bincount(flat[rows], minlength=r.size * powers.size) for rows in (in_image, twice))
+    ranks = ranks.reshape(r.size, -1)
+    ranks[:, 0] = r * s
+    invariants = [None] * r.size
+    if diagonal.any():
+        member = ~in_image & (basis[:, -1] != 0)
+        h = np.zeros(r.size, dtype=np.intp)
+        np.maximum.at(h, piece[member], power[member])
+        c = r % p  # with no row (0, e, m), h = 0 and X^0 = 1 gives (0, -tr I, 1)
+        found = member & (power == h[piece])
+        for b, (e, m) in zip(piece[found].tolist(), basis[found, -2:].tolist()):
+            c[b] = -e * pow(m, -1, p) % p
+        # the probe's block has a mirror
+        ranks -= 2 * (diagonal[:, None] & (h[:, None] < powers) & (powers < r[:, None]))
+        invariants = [(int(h[b]), int(c[b])) if diagonal[b] else None for b in range(r.size)]
     ranks = ranks.tolist()
-    return tuple(ranks[: ranks.index(0) + 1]), invariants
+    return [(tuple(row[: row.index(0) + 1]), inv) for row, inv in zip(ranks, invariants)]
 
 
 def _split_adjoint_type(t: JordanType, p: int) -> tuple[JordanType, JordanType]:
@@ -162,7 +227,9 @@ def _split_adjoint_type(t: JordanType, p: int) -> tuple[JordanType, JordanType]:
 
     V tensor V* is the sum of the u-invariant pieces V_a tensor V_b^* over
     ordered pairs of blocks, so its ranks of X^k are sums of the pieces'
-    ranks, each from `_piece_ranks`'s graded blocks, memoized by sizes.
+    ranks, each from `_eliminate_pieces`' graded blocks and memoized by
+    sizes and p in `_piece_memo`: the pieces of t missing from it go through
+    one tagged `_echelon` call, or one per `_ROW_BUDGET` rows.
     L is ker eps, eps the evaluation form, taken mod the identity I when
     p | n. eps vanishes on every piece with a != b, and I lies in the sum of
     the a = b pieces, so only that diagonal part needs a correction. eps
@@ -187,18 +254,23 @@ def _split_adjoint_type(t: JordanType, p: int) -> tuple[JordanType, JordanType]:
     context, which its caller holds.
     """
     n = t.dim
+    blocks = list(t)
+    # V_s tensor V_r^* is the dual module of V_r tensor V_s^*, and u^-T has
+    # the Jordan type of u, so one piece (r, s), r <= s, serves both orders.
+    copies = {
+        (d1, d2): m1 * m1 if d1 == d2 else 2 * m1 * m2
+        for i, (d1, m1) in enumerate(blocks)
+        for d2, m2 in blocks[i:]
+    }
+    cold = [key for key in copies if (*key, p) not in _piece_memo]
+    _piece_memo.update(((*key, p), piece) for key, piece in zip(cold, _eliminate_pieces(cold, p)))
     # blocks of V_r tensor V_s^* are shorter than r + s, so ranks ends in 0
     ranks = [0] * (2 * t.max_size)
-    blocks = list(t)
-    for i, (d1, m1) in enumerate(blocks):
-        for d2, m2 in blocks[i:]:
-            # V_s tensor V_r^* is the dual module of V_r tensor V_s^*, and
-            # u^-T has the Jordan type of u, so one piece serves both orders.
-            copies = m1 * m1 if d1 == d2 else 2 * m1 * m2
-            for k, rank in enumerate(_piece_ranks(d1, d2, p)[0]):
-                ranks[k] += copies * rank
+    for (d1, d2), m in copies.items():
+        for k, rank in enumerate(_piece_memo[d1, d2, p][0]):
+            ranks[k] += m * rank
     tensor = _checked(_blocks_from_ranks(ranks), n * n)
-    invariants = {d: _piece_ranks(d, d, p)[1] for d, _ in t}
+    invariants = {d: _piece_memo[d, d, p][1] for d, _ in t}
     for k in range(min(h for h, _ in invariants.values()) + 1):
         top = sum(m * invariants[d][1] for d, m in t if invariants[d][0] == k)
         ranks[k] -= 1 + (n % p == 0 and top % p == 0)

@@ -98,7 +98,12 @@ def build_report(
     verify: bool = False,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> DecompositionReport:
-    """Carrier and irreducible types for t in ctx; the group's rule refuses an invalid t."""
+    """Carrier and irreducible types for t in ctx; the group's rule refuses an
+    invalid t, and a t of the wrong dimension is refused before any carrier."""
+    if t.dim != ctx.n:
+        raise ValueError(
+            f"invalid {ctx.kind} type: type has dimension {t.dim}, context needs {ctx.n}"
+        )
     carrier = _module(_CARRIERS[ctx.kind], t, ctx.p, max_entries)
     rule = {"SL": adjoint_rule, "Sp": sp_w2_rule, "SO": so_2w1_rule}[ctx.kind]
     report = DecompositionReport(ctx, t, carrier, rule(carrier, t, ctx), rule_case(t, ctx.p))

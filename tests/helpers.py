@@ -74,25 +74,28 @@ def tensor_x_matrix(t: JordanType, p: int) -> np.ndarray:
 
 def clear_memos() -> None:
     """Empty every `lru_cache` of `construction` and `oracle`, found by its
-    cache_clear, so that a test starts cold whichever memos they hold."""
+    cache_clear, and the piece memo `construction._piece_memo`, so that a
+    test starts cold whichever memos they hold."""
     for module in (construction, oracle):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+    construction._piece_memo.clear()
 
 
 def graded_engine(m: int, n: int, p: int) -> JordanType:
     """J_m (x) J_n from the ranks of the graded pieces of X^k, by elimination
     alone, with the factors in either order: the referee of every closed form.
 
-    This is `construction._piece_ranks`, the engine `--verify` runs, with its
-    memo bypassed so that every call eliminates; V_n* has the type of V_n, so
-    its ranks on V_m (x) V_n* are those on V_m (x) V_n. It eliminates only
+    This is `construction._eliminate_pieces`, the engine `--verify` runs, on
+    the one piece and without its memo, so that every call eliminates; V_n*
+    has the type of V_n, so its ranks on V_m (x) V_n* are those on
+    V_m (x) V_n. It eliminates only
     the graded blocks with 2d <= top - k and counts their mirrors twice;
     `test_graded_engine_matches_shift_chain` holds it to the unhalved shift
     chain, which ranks every power on all of V_m (x) V_n.
     """
-    ranks, _ = construction._piece_ranks.__wrapped__(min(m, n), max(m, n), p)
+    [(ranks, _)] = construction._eliminate_pieces([(min(m, n), max(m, n))], p)
     return oracle._blocks_from_ranks(ranks)
 
 
@@ -148,9 +151,10 @@ def shift_chain_tensor_type(m: int, n: int, p: int) -> JordanType:
 
 
 def chained_diagonal_invariants(d: int, p: int) -> tuple[int, int]:
-    """The invariants (h, c) of `construction._piece_ranks(d, d, p)` by a
-    chain of eliminations over all of End(V_d) = V_d (x) V_d*, with eps the
-    trace: h = max{k : I in im X^k}, and c = eps(w) for any w with w X^h = I.
+    """The invariants (h, c) that `construction._eliminate_pieces` gives the
+    piece (d, d), by a chain of eliminations over all of
+    End(V_d) = V_d (x) V_d*, with eps the trace: h = max{k : I in im X^k},
+    and c = eps(w) for any w with w X^h = I.
 
     Each row is (w X^k, eps(w), 0) for some w in End(V_d), and one probe row
     (I, 0, 1) is echelonized with them. While I is in im X^k, eps kills

@@ -1,6 +1,7 @@
 """Tests for the adjoint construction, its split verify route, and the
 paper's proof model in `helpers`: shift closed forms and the delta ladder."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -199,10 +200,21 @@ def test_clear_memos_leaves_every_memo_cold():
     for kind, blocks in (("SL", {2: 1, 3: 1}), ("Sp", {2: 2})):
         t = JordanType(blocks)
         assert build_report(t, GroupContext(kind, t.dim, 3), verify=True).verified
-    memos = (oracle._tensor_block_type, oracle._square_single, construction._piece_ranks)
-    assert all(memo.cache_info().currsize for memo in memos)
+
+    def sizes():
+        memos = (oracle._tensor_block_type, oracle._square_single)
+        return [memo.cache_info().currsize for memo in memos] + [len(construction._piece_memo)]
+
+    assert all(sizes())
     helpers.clear_memos()
-    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
+    assert sizes() == [0, 0, 0]
+
+
+def one_piece(r: int, s: int, p: int) -> tuple[tuple[int, ...], tuple[int, int] | None]:
+    """(ranks, invariants) of V_r tensor V_s^*, r <= s, eliminated alone and
+    past the memo."""
+    [piece] = construction._eliminate_pieces([(r, s)], p)
+    return piece
 
 
 def verify_peak(t: JordanType, p: int) -> tuple[bool, int]:
@@ -264,7 +276,19 @@ class TestVerifyMemory:
         # from one call on 21 359 graded rows 42 wide
         tracemalloc.start()
         try:
-            assert construction._piece_ranks.__wrapped__(40, 40, 2)[1] == (7, 1)
+            assert one_piece(40, 40, 2)[1] == (7, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12_000_000
+
+    def test_batched_pieces_stay_within_the_budget(self):
+        # each of the 15 pieces of 36, ..., 40 holds 15 575 to 21 359 rows, past
+        # the row budget, so each goes alone; one call on all of them peaks near 120 MB
+        helpers.clear_memos()
+        tracemalloc.start()
+        try:
+            construction._split_adjoint_type(JordanType({36: 1, 37: 1, 38: 1, 39: 1, 40: 1}), 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -319,8 +343,8 @@ class TestGradedDuality:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_pieces_eliminate_only_the_kept_half(self, echelon_rows, p):
         # all blocks would be 13 271 rows for (24, 24) and 1 794 for (12, 13)
-        construction._piece_ranks.__wrapped__(24, 24, p)
-        construction._piece_ranks.__wrapped__(12, 13, p)
+        one_piece(24, 24, p)
+        one_piece(12, 13, p)
         assert echelon_rows == [kept_rows(24, 24), kept_rows(12, 13)] == [4623, 650]
 
 
@@ -331,7 +355,7 @@ class TestSplitRoute:
             dual = dual_action(jordan_block(s, p))
             for r in range(1, s + 1):
                 want = jordan_type_of(kronecker(jordan_block(r, p), dual))
-                ranks, invariants = construction._piece_ranks(r, s, p)
+                ranks, invariants = one_piece(r, s, p)
                 assert oracle._blocks_from_ranks(ranks) == want, (r, s)
                 assert (invariants is None) == (r != s), (r, s)
 
@@ -340,16 +364,16 @@ class TestSplitRoute:
         # V_12 tensor V_12^* is 144-dimensional and V_12 tensor V_13^* is
         # 156-dimensional, but their graded blocks are at most 12 wide; the
         # diagonal piece adds the two columns of its invariant problem
-        construction._piece_ranks.__wrapped__(12, 13, p)
+        one_piece(12, 13, p)
         assert len(echelon_widths) == 1 and echelon_widths[0] <= 12, echelon_widths
-        construction._piece_ranks.__wrapped__(12, 12, p)
+        one_piece(12, 12, p)
         assert len(echelon_widths) == 2 and echelon_widths[1] <= 14, echelon_widths
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_diagonal_invariants_eliminate_once_at_most_d_plus_2_wide(self, echelon_widths, p):
         # End(V_24) is 576-dimensional, but its ranks and invariants come
         # from one call on rows 26 wide
-        construction._piece_ranks.__wrapped__(24, 24, p)
+        one_piece(24, 24, p)
         assert len(echelon_widths) == 1 and echelon_widths[0] <= 26, echelon_widths
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -357,14 +381,14 @@ class TestSplitRoute:
         # the graded kernel against eliminations over all of End(V_d)
         for d in range(1, 25):
             want = helpers.chained_diagonal_invariants(d, p)
-            assert construction._piece_ranks.__wrapped__(d, d, p)[1] == want, d
+            assert one_piece(d, d, p)[1] == want, d
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_diagonal_invariants_follow_the_delta_ladder(self, p):
         # delta_nu certifies I in im X^(p^nu - 1), and its trace is d / p^nu
         for d in range(1, 41):
             q = p ** nu_p(d, p)
-            assert construction._piece_ranks(d, d, p)[1] == (q - 1, d // q % p), d
+            assert one_piece(d, d, p)[1] == (q - 1, d // q % p), d
 
     def test_wide_dtype_prime_agrees_with_the_whole_module(self):
         p = 1_000_003
@@ -405,3 +429,64 @@ class TestSplitRoute:
             for t in partitions_of(n):
                 want = oracle.tensor_dual_type(t, p)
                 assert construction._split_adjoint_type(t, p)[0] == want, t.render()
+
+
+class TestBatchedPieces:
+    PIECES = [(r, s) for s in range(1, 17) for r in range(1, s + 1)]
+
+    def test_kept_rows_counts_the_kept_half(self):
+        for s in range(1, 25):
+            for r in range(1, s + 1):
+                assert construction._kept_rows(r, s) == kept_rows(r, s), (r, s)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a_cold_item_eliminates_once(self, monkeypatch, p):
+        # the 21 pieces V_r tensor V_s^*, r <= s, of 1, 2, 3, 5, 7, 12 share
+        # one call, 12 wide and 2 more for the diagonal pieces' invariants
+        calls = watch_echelon(monkeypatch, lambda work: work.shape)
+        t = JordanType({1: 1, 2: 1, 3: 1, 5: 1, 7: 1, 12: 1})
+        sizes = [d for d, _ in t]
+        pieces = [(r, s) for i, r in enumerate(sizes) for s in sizes[i:]]
+        assert len(pieces) == 21
+        helpers.clear_memos()
+        construction._split_adjoint_type(t, p)
+        assert calls == [(sum(kept_rows(r, s) for r, s in pieces), 12 + 2)]
+        construction._split_adjoint_type(t, p)  # warm: every piece is memoized
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 10007])
+    def test_batches_match_one_piece_at_a_time(self, p):
+        # each piece reads its ranks and invariants off its own tags alone,
+        # whatever shares its call and in whatever order
+        rng = random.Random(p)
+        alone = {key: one_piece(*key, p) for key in self.PIECES}
+        diagonal = [key for key in self.PIECES if key[0] == key[1]]
+        other = [key for key in self.PIECES if key[0] != key[1]]
+        for _ in range(20):
+            keys = rng.sample(diagonal, rng.randint(1, 5)) + rng.sample(other, rng.randint(1, 30))
+            rng.shuffle(keys)
+            assert construction._eliminate_pieces(keys, p) == [alone[key] for key in keys], keys
+        keys = rng.sample(self.PIECES, len(self.PIECES))  # 38 616 rows, cut by the budget
+        assert construction._eliminate_pieces(keys, p) == [alone[key] for key in keys]
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_the_row_budget_cuts_a_batch(self, echelon_rows, p):
+        # the pieces r <= s <= 16 hold 38 616 rows and (24, 24) alone 4 623;
+        # each call is a run of pieces within the budget, or one piece
+        keys = self.PIECES + [(24, 24)]
+        construction._eliminate_pieces(keys, p)
+        assert len(echelon_rows) > 1
+        sizes = iter(n for n in map(kept_rows, *zip(*keys)) if n)
+        for rows in echelon_rows:
+            batch = [next(sizes)]
+            while sum(batch) < rows:
+                batch.append(next(sizes))
+            assert sum(batch) == rows
+            assert rows <= construction._ROW_BUDGET or len(batch) == 1, batch
+        assert next(sizes, None) is None
+        assert echelon_rows[-1] == kept_rows(24, 24) > construction._ROW_BUDGET
+
+    def test_a_batch_is_max_r_wide_and_two_more_with_a_diagonal_piece(self, echelon_widths):
+        construction._eliminate_pieces([(2, 9), (5, 7), (3, 3)], 3)
+        construction._eliminate_pieces([(2, 9), (5, 7)], 3)
+        assert echelon_widths == [5 + 2, 5]

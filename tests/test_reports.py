@@ -57,3 +57,13 @@ def test_a_raised_cap_reaches_the_check(group, size):
     with pytest.raises(OracleCapError, match=f"{side}x{side}"):
         build_report(t, ctx, verify=True)
     assert build_report(t, ctx, verify=True, max_entries=side**2).verified is True
+
+
+@pytest.mark.parametrize("group, n", [("SL", 2), ("Sp", 4), ("SO", 5)])
+def test_a_type_of_the_wrong_dimension_is_refused_before_any_carrier(group, n):
+    # the carrier of 15 is V_15 tensor V_15^* for SL, 225-square and past the
+    # pair cap; the type's dimension is checked before any carrier
+    message = f"^invalid {group} type: type has dimension 15, context needs {n}$"
+    with pytest.raises(ValueError, match=message) as caught:
+        build_report(JordanType({15: 1}), GroupContext(group, n, 3))
+    assert not isinstance(caught.value, OracleCapError)
