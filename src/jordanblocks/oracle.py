@@ -266,8 +266,6 @@ def tensor_dual_type(
     the cap on the widest pair (the top block with itself), before any pair
     is read from the memo `_tensor_block_type`.
     """
-    if not t:
-        raise ValueError("empty Jordan type")
     p = characteristic(p)
     _check_cap(t.max_size**2, max_entries)
     blocks = list(t)
@@ -285,20 +283,20 @@ def _square_type(
 ) -> JordanType:
     """Exterior (alternating) or symmetric square of V: each block adds its
     own square (`_square_single`), each unordered pair of blocks their tensor
-    product (`_tensor_block_type`), each capped before it is read."""
-    if not t:
-        raise ValueError("empty Jordan type")
+    product (`_tensor_block_type`). p and the cap are checked once, the cap on
+    the widest piece, before any piece is read."""
     p = characteristic(p)
     side = -1 if alternating else 1
+    top, sizes = t.max_size, t.sizes
+    pair = top if t.multiplicity(top) > 1 else sizes[-2] if len(sizes) > 1 else 0
+    _check_cap(max(top * (top + side) // 2, top * pair), max_entries)
     pieces: list[tuple[int, int]] = []
     blocks = list(t)
     for i, (d1, m1) in enumerate(blocks):
-        _check_cap(d1 * (d1 + side) // 2, max_entries)
         pieces += ((size, mult * m1) for size, mult in _square_single(d1, p, alternating))
         for d2, m2 in blocks[i:]:
             copies = m1 * (m1 - 1) // 2 if d2 == d1 else m1 * m2
             if copies:
-                _check_cap(d1 * d2, max_entries)
                 pieces += ((size, mult * copies) for size, mult in _tensor_block_type(d1, d2, p))
     return _checked(JordanType(pieces), t.dim * (t.dim + side) // 2)
 

@@ -112,12 +112,6 @@ class JordanType:
         return sum(m for _, m in self._pairs)
 
     @property
-    def min_size(self) -> int:
-        if not self._pairs:
-            raise ValueError("empty Jordan type has no blocks")
-        return self._pairs[0][0]
-
-    @property
     def max_size(self) -> int:
         if not self._pairs:
             raise ValueError("empty Jordan type has no blocks")

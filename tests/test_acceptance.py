@@ -124,7 +124,7 @@ def test_criterion_5_smallest_block_sizes_and_multiplicities():
         for n in range(1, 31):
             a = nu_p(n, p)
             t2 = tensor_block_type(n, n, p, max_entries=1_000_000)
-            assert t2.min_size == p**a, (n, p)
+            assert t2.sizes[0] == p**a, (n, p)
             assert t2.multiplicity(p**a) == p**a, (n, p)
     rng = random.Random(20260821)
     mixed = 0
@@ -133,7 +133,7 @@ def test_criterion_5_smallest_block_sizes_and_multiplicities():
             t = random_type(rng, 30)
             a = alpha_of(t, p)
             td = tensor_dual_type(t, p, max_entries=1_000_000)
-            assert td.min_size == p**a, (t.render(), p)
+            assert td.sizes[0] == p**a, (t.render(), p)
             assert td.multiplicity(p**a) >= p**a, (t.render(), p)
             mixed += 1
     report(f"criterion 5: smallest-block law on 90 diagonal and {mixed} random types", start)

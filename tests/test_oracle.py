@@ -335,9 +335,10 @@ class TestRouting:
         # square the larger of the top block's own square and the widest pair
         # it sums. Caps on both sides of 196^2, 210^2 and 225^2, and of each
         # carrier's own widest piece, so that every carrier is both refused
-        # and answered
+        # and answered. A refusal reads no pair and no square from the memos
         fixed = [side * side + off for side in (196, 210, 225) for off in (-1, 0)]
-        wrong = []
+        memos = (oracle._tensor_block_type, oracle._square_single)
+        wrong, read = [], []
         for n in range(1, 17):
             for t in partitions_of(n):
                 sizes = t.sizes
@@ -353,14 +354,28 @@ class TestRouting:
                 }
                 for carrier, side in widest.items():
                     for cap in fixed + [side * side - 1, side * side]:
+                        before = [memo.cache_info() for memo in memos]
                         try:
                             carrier(t, 3, max_entries=cap)
                             refused = False
                         except OracleCapError:
                             refused = True
+                            if [memo.cache_info() for memo in memos] != before:
+                                read.append((carrier.__name__, str(t), cap))
                         if refused != (side * side > cap):
                             wrong.append((carrier.__name__, str(t), cap))
         assert wrong == []
+        assert read == []
+
+    @pytest.mark.parametrize(
+        "carrier", [tensor_dual_type, ext2_type, sym2_type], ids=lambda c: c.__name__
+    )
+    def test_carriers_refuse_the_empty_type(self, carrier):
+        # p is checked first, then the type's top block
+        with pytest.raises(ValueError, match="characteristic must be prime"):
+            carrier(JordanType(), 9)
+        with pytest.raises(ValueError, match="empty Jordan type has no blocks"):
+            carrier(JordanType(), 3)
 
     def test_refused_tensor_dual_reads_no_pair(self):
         # the cap is checked on the widest pair, (15, 15), before any pair is read

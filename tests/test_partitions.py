@@ -54,7 +54,7 @@ class TestJordanType:
         t = JordanType({1: 2, 3: 1})
         assert t.dim == 5
         assert t.block_count == 3
-        assert t.min_size == 1
+        assert t.sizes[0] == 1
         assert t.max_size == 3
         assert t.sizes == (1, 3)
         assert t.multiplicity(1) == 2
