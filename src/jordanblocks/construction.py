@@ -11,10 +11,11 @@ k[x, v]/(x^r, v^s), at most min(r, s) wide (d + 2 for End(V_d), which also
 counts the two invariants per block size that correct the diagonal part).
 X^k's block from degree d is the transpose of its block from
 r + s - 2 - k - d, so only the lower half is eliminated. The pieces of a
-type that are not memoized yet share one `_echelon` call, tagged by
-(piece, k, d), cut only where its rows pass a fixed budget. V tensor V*'s blocks are read
-off the sum and L's off the corrected sum: SL `--verify` checks
-`--rep tensor` and `irr` with these.
+type that are not memoized yet are eliminated together, one `_echelon` tag
+per block (piece, k, d); the calls are cut between blocks, each holds at
+most `_ECHELON_BYTES` of rows, and `_echelon` holds about nine copies of
+them. V tensor V*'s blocks are read off the sum and L's off the corrected
+sum: SL `--verify` checks `--rep tensor` and `irr` with these.
 """
 
 from __future__ import annotations
@@ -82,25 +83,15 @@ def _binomial_rows(k: np.ndarray, shift: np.ndarray, width: int, p: int, dtype) 
     return windows[k, width - shift]
 
 
-# The most rows one `_echelon` call takes for a batch of pieces; a piece with
-# more goes alone.
-_ROW_BUDGET = 4096
+# The most bytes of rows one `_echelon` call takes (it holds about nine
+# copies of them); a single larger block goes alone.
+_ECHELON_BYTES = 1 << 19
 
 # A piece's ranks of X^0, X^1, ... down to 0, and its invariants (h, c) or None.
 _Piece = tuple[tuple[int, ...], tuple[int, int] | None]
 
 # (r, s, p) -> `_eliminate_pieces`' answer for (r, s), filled a batch at a time.
 _piece_memo: dict[tuple[int, int, int], _Piece] = {}
-
-
-def _kept_rows(r: int, s: int) -> int:
-    """The rows that piece (r, s) puts into `_echelon`: one per power
-    1 <= k <= top - 2(i + j) of each x^i v^j, plus r - 1 probes when r == s."""
-    top, rows = r + s - 2, (r - 1) * (r == s)
-    for i in range(r):
-        reach = top - 2 * i  # x^i v^j gives reach - 2j rows while that is positive
-        rows += max((reach + 1) // 2, 0) * (reach // 2 + 1)
-    return rows
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,9 +105,11 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     down to the first 0 on V_r tensor V_s^*, and, when r == s = d, the
     invariants (h, c) of End(V_d); None when r != s.
 
-    The pieces go through one tagged `_echelon` call, cut into several only
-    where their rows would pass `_ROW_BUDGET`; each call is max r wide, plus
-    2 if it holds a diagonal piece.
+    Every kept block (piece, k, d) below is its own `_echelon` tag. The
+    blocks go through `_echelon` in tag order, cut between blocks into calls
+    of at most `_ECHELON_BYTES` of rows each (a larger block goes alone);
+    each call builds only its own rows, max r wide, plus 2 if a piece is
+    diagonal.
 
     V_s^* is isomorphic to V_s as a k[u]-module, so X^k has the same ranks
     on V_r tensor V_s^* as on V_r tensor V_s = k[x, y]/(x^r, y^s). There
@@ -130,8 +123,8 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     Pairing x^i v^j with x^(r-1-i) v^(s-1-j) swaps R_d and R_(top-d), top =
     r + s - 2, and both blocks read C(k, c - i), so block (k, d) is block
     (k, top - k - d) transposed. Only blocks with 2d <= top - k are kept,
-    each counted twice but the middle one, 2d = top - k; their rows are
-    tagged by (piece, k, d), and no r*s-wide row is ever formed.
+    each counted twice but the middle one, 2d = top - k, and no r*s-wide
+    row is ever formed.
 
     On End(V_d), with eps the trace, h = max{k : I in im X^k} and c = eps(w)
     for any w with X^h(w) = I. X(A) = [N, A] u^-1 with N = u - 1, so
@@ -147,78 +140,64 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     twice, as its block (k >= 1) is counted twice. With no such row, h = 0
     and X^0 = 1 gives (0, -tr I, 1).
     """
-    out, batch, rows = [], [], 0
-    for key in keys:
-        size = _kept_rows(*key)
-        if batch and rows + size > _ROW_BUDGET:
-            out += _eliminate_batch(batch, p)
-            batch, rows = [], 0
-        batch.append(key)
-        rows += size
-    return out + _eliminate_batch(batch, p) if batch else out
-
-
-def _eliminate_batch(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
-    """`_eliminate_pieces` for keys in one `_echelon` call."""
+    if not keys:
+        return []
     dtype = _working_dtype(p, 2)  # refuses a too-large p before any arithmetic
     r, s = np.array(keys).T
     top = r + s - 2  # highest degree, so X^(top+1) = 0
     diagonal = r == s
     wide = int(r.max())
-    # one row per (k, source) of each block with 2d <= top - k; its mirror repeats it
-    piece, mono = _ragged(r * s)
-    i, j = np.divmod(mono, s[piece])
-    source, k = _ragged(np.maximum(top[piece] - 2 * (i + j), 0))
-    k += 1
-    piece, i, deg = piece[source], i[source], i[source] + j[source]
-
-    probe_piece, probe_k = _ragged(np.where(diagonal, r - 1, 0))
-    work = np.zeros((k.size + probe_k.size, wide + 2 * diagonal.any()), dtype=dtype)
-    image = work[: k.size, :wide]
-    image[:] = _binomial_rows(k, i, wide, p, dtype)
-    # the exponent of x stays below r, and that of v below s while that of x is >= low
-    low = deg + k - (s[piece] - 1)
+    width = wide + 2 * int(diagonal.any())
+    most = _ECHELON_BYTES // (width * np.dtype(dtype).itemsize)  # rows one call may take
+    # every block (piece, k, d) with 1 <= k <= top and 2d <= top - k, in tag order
+    piece, k = _ragged(top)
+    block, d = _ragged((top[piece] - k - 1) // 2 + 1)
+    piece, k = piece[block], k[block] + 1
+    # the sources x^i v^(d-i), i <= min(d, r - 1): as r <= s, 2d < top gives d < s
+    sources = np.minimum(d, r[piece] - 1) + 1
+    probe = diagonal[piece] & (d + k == r[piece] - 1)  # the block maps onto I
+    ends = np.concatenate([[0], np.cumsum(sources + probe)])  # rows before each block
     column = np.arange(wide)
-    image[(column < low[:, None]) | (column >= r[piece][:, None])] = 0
-    if diagonal.any():
-        sign = (1 - 2 * (column & 1)) % p
-        on_identity = diagonal[piece] & (deg + k == r[piece] - 1)
-        work[: k.size, -2] = np.where(on_identity, sign[i], 0)
-        work[k.size :, :wide] = np.where(column < r[probe_piece][:, None], sign, 0)
-        work[k.size :, -1] = 1
-        probe_k += 1
-        piece = np.concatenate([piece, probe_piece])
-        k = np.concatenate([k, probe_k])
-        deg = np.concatenate([deg, r[probe_piece] - 1 - probe_k])
-
-    # piece b's tags (k, d), d <= top / 2, follow those of the pieces before it
-    half = top // 2 + 1
-    span = (top + 1) * half
-    offset = np.cumsum(span) - span
-    basis, pivot_tags = _echelon(work, p, offset[piece] + k * half[piece] + deg)
-    piece = np.searchsorted(offset, pivot_tags, side="right") - 1
-    power, deg = np.divmod(pivot_tags - offset[piece], half[piece])
-    in_image = basis[:, :wide].any(axis=1)  # rows (0, e, m) count in no rank
-    twice = in_image & (2 * deg + power < top[piece])  # each block but the middle one has a mirror
-    powers = np.arange(top.max() + 2)
-    flat = piece * powers.size + power
-    ranks = sum(np.bincount(flat[rows], minlength=r.size * powers.size) for rows in (in_image, twice))
-    ranks = ranks.reshape(r.size, -1)
-    ranks[:, 0] = r * s
-    invariants = [None] * r.size
-    if diagonal.any():
+    sign = (1 - 2 * (column & 1)) % p
+    rank = np.zeros(k.size, dtype=np.intp)
+    kept = []  # (block, e, m) for each row (0, e, m), m != 0
+    start = 0
+    while start < k.size:
+        # the most blocks from start whose rows fit the budget, and at least one
+        stop = max(int(np.searchsorted(ends, ends[start] + most, "right")) - 1, start + 1)
+        owner, i = _ragged(sources[start:stop])
+        at = start + owner
+        probes = start + np.flatnonzero(probe[start:stop])
+        work = np.zeros((at.size + probes.size, width), dtype=dtype)
+        image = work[: at.size, :wide]
+        image[:] = _binomial_rows(k[at], i, wide, p, dtype)
+        # the exponent of x stays below r, and that of v below s while that of x is >= low
+        low = d[at] + k[at] - (s[piece[at]] - 1)
+        image[(column < low[:, None]) | (column >= r[piece[at]][:, None])] = 0
+        if diagonal.any():
+            work[: at.size, -2] = np.where(probe[at], sign[i], 0)
+            work[at.size :, :wide] = np.where(column < r[piece[probes]][:, None], sign, 0)
+            work[at.size :, -1] = 1
+        basis, tags = _echelon(work, p, np.concatenate([at, probes]) - start)
+        in_image = basis[:, :wide].any(axis=1)  # rows (0, e, m) count in no rank
+        rank[start:stop] = np.bincount(tags[in_image], minlength=stop - start)
         member = ~in_image & (basis[:, -1] != 0)
-        h = np.zeros(r.size, dtype=np.intp)
-        np.maximum.at(h, piece[member], power[member])
-        c = r % p  # with no row (0, e, m), h = 0 and X^0 = 1 gives (0, -tr I, 1)
-        found = member & (power == h[piece])
-        for b, (e, m) in zip(piece[found].tolist(), basis[found, -2:].tolist()):
-            c[b] = -e * pow(m, -1, p) % p
-        # the probe's block has a mirror
-        ranks -= 2 * (diagonal[:, None] & (h[:, None] < powers) & (powers < r[:, None]))
-        invariants = [(int(h[b]), int(c[b])) if diagonal[b] else None for b in range(r.size)]
-    ranks = ranks.tolist()
-    return [(tuple(row[: row.index(0) + 1]), inv) for row, inv in zip(ranks, invariants)]
+        kept += zip((start + tags[member]).tolist(), *basis[member, -2:].T.tolist())
+        start = stop
+
+    ranks = np.zeros((r.size, top.max() + 2), dtype=np.intp)
+    # each block but the middle one, 2d = top - k, has a mirror
+    np.add.at(ranks, (piece, k), rank * (1 + (2 * d + k < top[piece])))
+    ranks[:, 0] = r * s
+    h = np.zeros(r.size, dtype=np.intp)
+    c = r % p  # with no row (0, e, m), h = 0 and X^0 = 1 gives (0, -tr I, 1)
+    for b, e, m in sorted(kept):  # a piece's blocks come in order of k, the last at h
+        h[piece[b]], c[piece[b]] = k[b], -e * pow(m, -1, p) % p
+    # the probe's block has a mirror
+    powers = np.arange(ranks.shape[1])
+    ranks -= 2 * (diagonal[:, None] & (h[:, None] < powers) & (powers < r[:, None]))
+    invariants = [(int(h[b]), int(c[b])) if diagonal[b] else None for b in range(r.size)]
+    return [(tuple(row[: row.index(0) + 1]), inv) for row, inv in zip(ranks.tolist(), invariants)]
 
 
 def _split_adjoint_type(t: JordanType, p: int) -> tuple[JordanType, JordanType]:
@@ -228,8 +207,9 @@ def _split_adjoint_type(t: JordanType, p: int) -> tuple[JordanType, JordanType]:
     V tensor V* is the sum of the u-invariant pieces V_a tensor V_b^* over
     ordered pairs of blocks, so its ranks of X^k are sums of the pieces'
     ranks, each from `_eliminate_pieces`' graded blocks and memoized by
-    sizes and p in `_piece_memo`: the pieces of t missing from it go through
-    one tagged `_echelon` call, or one per `_ROW_BUDGET` rows.
+    sizes and p in `_piece_memo`: the pieces of t missing from it are
+    eliminated together, in calls cut between blocks, each of at most
+    `_ECHELON_BYTES` of rows (`_echelon` holds about nine copies of them).
     L is ker eps, eps the evaluation form, taken mod the identity I when
     p | n. eps vanishes on every piece with a != b, and I lies in the sum of
     the a = b pieces, so only that diagonal part needs a correction. eps

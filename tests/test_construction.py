@@ -273,7 +273,8 @@ class TestVerifyMemory:
 
     def test_the_per_size_invariants_stay_small(self):
         # End(V_40) is 1600-dimensional; its piece ranks and invariants come
-        # from one call on 21 359 graded rows 42 wide
+        # from 21 359 graded rows 42 wide, cut between blocks into two calls
+        # under the byte budget
         tracemalloc.start()
         try:
             assert one_piece(40, 40, 2)[1] == (7, 1)
@@ -283,12 +284,24 @@ class TestVerifyMemory:
         assert peak < 12_000_000
 
     def test_batched_pieces_stay_within_the_budget(self):
-        # each of the 15 pieces of 36, ..., 40 holds 15 575 to 21 359 rows, past
-        # the row budget, so each goes alone; one call on all of them peaks near 120 MB
+        # the 15 pieces of 36, ..., 40 hold 15 575 to 21 359 rows each; the
+        # calls are cut between blocks under the byte budget, where one call
+        # on all of them peaks near 120 MB
         helpers.clear_memos()
         tracemalloc.start()
         try:
             construction._split_adjoint_type(JordanType({36: 1, 37: 1, 38: 1, 39: 1, 40: 1}), 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12_000_000
+
+    def test_a_large_diagonal_piece_stays_small(self):
+        # End(V_100) puts 333 399 graded rows 102 wide through `_echelon`;
+        # one call on all of them peaks near 256 MB
+        tracemalloc.start()
+        try:
+            assert one_piece(100, 100, 2)[1] == (3, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -434,10 +447,13 @@ class TestSplitRoute:
 class TestBatchedPieces:
     PIECES = [(r, s) for s in range(1, 17) for r in range(1, s + 1)]
 
-    def test_kept_rows_counts_the_kept_half(self):
+    def test_a_piece_eliminates_exactly_its_kept_rows(self, echelon_rows):
+        # summed over however many calls the budget cuts it into
         for s in range(1, 25):
             for r in range(1, s + 1):
-                assert construction._kept_rows(r, s) == kept_rows(r, s), (r, s)
+                echelon_rows.clear()
+                one_piece(r, s, 2)
+                assert sum(echelon_rows) == kept_rows(r, s), (r, s)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_a_cold_item_eliminates_once(self, monkeypatch, p):
@@ -469,22 +485,20 @@ class TestBatchedPieces:
         keys = rng.sample(self.PIECES, len(self.PIECES))  # 38 616 rows, cut by the budget
         assert construction._eliminate_pieces(keys, p) == [alone[key] for key in keys]
 
-    @pytest.mark.parametrize("p", [2, 5])
-    def test_the_row_budget_cuts_a_batch(self, echelon_rows, p):
-        # the pieces r <= s <= 16 hold 38 616 rows and (24, 24) alone 4 623;
-        # each call is a run of pieces within the budget, or one piece
+    def test_the_byte_budget_cuts_a_batch(self, monkeypatch):
+        # the pieces r <= s <= 16 hold 38 616 rows and (24, 24) 4 623, all
+        # 26 wide: int8 at p = 2 and 5, int32 at p = 10007
+        calls = watch_echelon(monkeypatch, lambda work: (work.nbytes, work.shape[0]))
         keys = self.PIECES + [(24, 24)]
-        construction._eliminate_pieces(keys, p)
-        assert len(echelon_rows) > 1
-        sizes = iter(n for n in map(kept_rows, *zip(*keys)) if n)
-        for rows in echelon_rows:
-            batch = [next(sizes)]
-            while sum(batch) < rows:
-                batch.append(next(sizes))
-            assert sum(batch) == rows
-            assert rows <= construction._ROW_BUDGET or len(batch) == 1, batch
-        assert next(sizes, None) is None
-        assert echelon_rows[-1] == kept_rows(24, 24) > construction._ROW_BUDGET
+        counts = {}
+        for p in (2, 5, 10007):
+            calls.clear()
+            construction._eliminate_pieces(keys, p)
+            assert all(nbytes <= construction._ECHELON_BYTES for nbytes, _ in calls), (p, calls)
+            assert sum(rows for _, rows in calls) == sum(map(kept_rows, *zip(*keys))), p
+            assert len(calls) > 1, p
+            counts[p] = len(calls)
+        assert counts[10007] > counts[2], counts
 
     def test_a_batch_is_max_r_wide_and_two_more_with_a_diagonal_piece(self, echelon_widths):
         construction._eliminate_pieces([(2, 9), (5, 7), (3, 3)], 3)
