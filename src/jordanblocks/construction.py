@@ -11,11 +11,10 @@ k[x, v]/(x^r, v^s), at most min(r, s) wide (d + 2 for End(V_d), which also
 counts the two invariants per block size that correct the diagonal part).
 X^k's block from degree d is the transpose of its block from
 r + s - 2 - k - d, so only the lower half is eliminated. The pieces of a
-type that are not memoized yet are eliminated together, one `_echelon` tag
-per block (piece, k, d); the calls are cut between blocks, each holds at
-most `_ECHELON_BYTES` of rows, and `_echelon` holds about nine copies of
-them. V tensor V*'s blocks are read off the sum and L's off the corrected
-sum: SL `--verify` checks `--rep tensor` and `irr` with these.
+type that are not memoized yet are eliminated together, in calls cut as
+`_eliminate_pieces` states. V tensor V*'s blocks are read off the sum and
+L's off the corrected sum: SL `--verify` checks `--rep tensor` and `irr`
+with these.
 """
 
 from __future__ import annotations
@@ -66,25 +65,21 @@ def build_adjoint_action(t: JordanType, p: int) -> PrimeFieldMatrix:
     return PrimeFieldMatrix(reduced[np.ix_(keep, keep)], p)
 
 
-def _binomial_rows(k: np.ndarray, shift: np.ndarray, width: int, p: int, dtype) -> np.ndarray:
-    """One row per pair (k[j], shift[j]): the coefficients of x^0 to
-    x^(width-1) in (1 + x)^k x^shift mod p, so C(k, c - shift) at column c
-    and 0 left of shift. The graded kernel builds its binomial blocks
-    here. Pascal's rows are laid right of width zeros, and each
-    output row is a window of width columns read from shift places left of
-    them.
+def _pascal_windows(top: int, wide: int, p: int, dtype) -> np.ndarray:
+    """Windows of wide columns over Pascal's rows 0 to top mod p, each row
+    laid right of wide zeros in a table 3 * wide columns wide: row k's
+    window at wide + o holds C(k, c + o) at column c, 0 where c + o < 0,
+    for -wide < o < wide. The graded kernel reads its binomial rows here.
     """
-    pascal = np.zeros((int(k.max(initial=0)) + 1, 2 * width), dtype=np.int64)
-    pascal[0, width] = 1
-    for row in range(1, pascal.shape[0]):
+    pascal = np.zeros((top + 1, 3 * wide), dtype=dtype)
+    pascal[0, wide] = 1
+    for row in range(1, top + 1):
         np.add(pascal[row - 1, 1:], pascal[row - 1, :-1], out=pascal[row, 1:])
         pascal[row] %= p
-    windows = np.lib.stride_tricks.sliding_window_view(pascal.astype(dtype), width, axis=1)
-    return windows[k, width - shift]
+    return np.lib.stride_tricks.sliding_window_view(pascal, wide, axis=1)
 
 
-# The most bytes of rows one `_echelon` call takes (it holds about nine
-# copies of them); a single larger block goes alone.
+# The byte budget of one `_echelon` call's rows (see `_eliminate_pieces`).
 _ECHELON_BYTES = 1 << 19
 
 # A piece's ranks of X^0, X^1, ... down to 0, and its invariants (h, c) or None.
@@ -107,9 +102,10 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
 
     Every kept block (piece, k, d) below is its own `_echelon` tag. The
     blocks go through `_echelon` in tag order, cut between blocks into calls
-    of at most `_ECHELON_BYTES` of rows each (a larger block goes alone);
-    each call builds only its own rows, max r wide, plus 2 if a piece is
-    diagonal.
+    of at most `_ECHELON_BYTES` of rows each (a larger block goes alone), as
+    `_echelon` holds about nine copies of them; each call builds only its
+    own rows, max r wide, plus 2 if a piece is diagonal. Pascal's rows are
+    built once for all calls (`_pascal_windows`).
 
     V_s^* is isomorphic to V_s as a k[u]-module, so X^k has the same ranks
     on V_r tensor V_s^* as on V_r tensor V_s = k[x, y]/(x^r, y^s). There
@@ -119,7 +115,9 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     X^k maps R_d = span{x^i v^(d-i)} into R_(d+k) by
     x^i v^j -> sum_a C(k, a) x^(i+a) v^(j+k-a), truncated. So rank X^k is
     the sum over d of the ranks of these binomial blocks. A block's columns
-    are the exponents of x in R_(d+k), so it is at most r = min(r, s) wide.
+    are the exponents c of x in R_(d+k), from its first, max(d + k - s + 1,
+    0), below r, so it is at most r = min(r, s) wide; shifting one tag's
+    columns keeps its rank, and the block that meets I (below) starts at 0.
     Pairing x^i v^j with x^(r-1-i) v^(s-1-j) swaps R_d and R_(top-d), top =
     r + s - 2, and both blocks read C(k, c - i), so block (k, d) is block
     (k, top - k - d) transposed. Only blocks with 2d <= top - k are kept,
@@ -157,6 +155,10 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     sources = np.minimum(d, r[piece] - 1) + 1
     probe = diagonal[piece] & (d + k == r[piece] - 1)  # the block maps onto I
     ends = np.concatenate([[0], np.cumsum(sources + probe)])  # rows before each block
+    # the exponent of v, d + k - c, stays below s, and that of x below r
+    first = np.maximum(d + k - s[piece] + 1, 0)
+    span = r[piece] - first
+    windows = _pascal_windows(int(top.max()), wide, p, dtype)
     column = np.arange(wide)
     sign = (1 - 2 * (column & 1)) % p
     rank = np.zeros(k.size, dtype=np.intp)
@@ -170,10 +172,8 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
         probes = start + np.flatnonzero(probe[start:stop])
         work = np.zeros((at.size + probes.size, width), dtype=dtype)
         image = work[: at.size, :wide]
-        image[:] = _binomial_rows(k[at], i, wide, p, dtype)
-        # the exponent of x stays below r, and that of v below s while that of x is >= low
-        low = d[at] + k[at] - (s[piece[at]] - 1)
-        image[(column < low[:, None]) | (column >= r[piece[at]][:, None])] = 0
+        image[:] = windows[k[at], wide + first[at] - i]
+        image[column >= span[at][:, None]] = 0
         if diagonal.any():
             work[: at.size, -2] = np.where(probe[at], sign[i], 0)
             work[at.size :, :wide] = np.where(column < r[piece[probes]][:, None], sign, 0)
@@ -208,8 +208,7 @@ def _split_adjoint_type(t: JordanType, p: int) -> tuple[JordanType, JordanType]:
     ordered pairs of blocks, so its ranks of X^k are sums of the pieces'
     ranks, each from `_eliminate_pieces`' graded blocks and memoized by
     sizes and p in `_piece_memo`: the pieces of t missing from it are
-    eliminated together, in calls cut between blocks, each of at most
-    `_ECHELON_BYTES` of rows (`_echelon` holds about nine copies of them).
+    eliminated together, in calls cut as `_eliminate_pieces` states.
     L is ker eps, eps the evaluation form, taken mod the identity I when
     p | n. eps vanishes on every piece with a != b, and I lies in the sum of
     the a = b pieces, so only that diagonal part needs a correction. eps

@@ -6,8 +6,8 @@ picks the narrowest dtype for a sum of products mod p and refuses a prime
 too large for int64. Matrices act on coordinate row vectors from the right,
 so row i of a matrix holds the image of the i-th basis vector.
 Jordan blocks, direct sums, the dual action, Kronecker products and the two
-squares build the explicit modules; `rref` inverts for the dual action and
-is the tests' independent check on the oracle's elimination.
+squares build the explicit modules. Nothing here eliminates: the dual action
+inverts a unipotent matrix by its nilpotent series, with no division.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _working_dtype(p: int, terms: int):
 
 class PrimeFieldMatrix:
     """Dense matrix over GF(p) with exact integer arithmetic. int64 must hold
-    the sum of two products the squares and rref form; `@` checks its own."""
+    the sum of two products the squares form; `@` checks its own."""
 
     __slots__ = ("array", "p")
 
@@ -118,50 +118,22 @@ def block_diagonal(mats: Sequence[PrimeFieldMatrix]) -> PrimeFieldMatrix:
     return PrimeFieldMatrix(out, p)
 
 
-def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (R, pivot column list).
-
-    Pivots are chosen at the lowest-index coordinate available, so the output
-    is deterministic.
-    """
-    R = np.asarray(arr, dtype=np.int64) % p
-    rows, cols = R.shape
-    piv: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hit = np.nonzero(R[r:, c])[0]
-        if hit.size == 0:
-            continue
-        i = r + int(hit[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
-        other = np.nonzero(R[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            R[other] = (R[other] - np.outer(R[other, c], R[r])) % p
-        piv.append(c)
-        r += 1
-    return R[: len(piv)], piv
-
-
-def inverse(M: PrimeFieldMatrix) -> PrimeFieldMatrix:
-    """Inverse over GF(p) by Gauss-Jordan on [M | I]."""
-    if not M.is_square():
-        raise ValueError("inverse of a non-square matrix")
-    n = M.rows
-    aug = np.hstack([M.array, np.eye(n, dtype=np.int64)])
-    R, piv = rref(aug, M.p)
-    if piv != list(range(n)):
-        raise ValueError("matrix is singular")
-    return PrimeFieldMatrix(R[:, n:], M.p)
-
-
 def dual_action(M: PrimeFieldMatrix) -> PrimeFieldMatrix:
-    """Contragredient action on the dual basis: (M^-1)^T."""
-    return inverse(M).transpose()
+    """Contragredient action on the dual basis, (M^-1)^T, of a unipotent M.
+
+    N = 1 - M is then nilpotent, so M^-1 = 1 + N + ... + N^(n-1), summed by
+    Horner's rule with no division. M times the sum is 1 - N^n, so any other
+    M fails the check that it is 1 and is refused.
+    """
+    one = np.eye(M.rows, dtype=np.int64)
+    if M.is_square():
+        N = PrimeFieldMatrix(one - M.array, M.p)
+        S = PrimeFieldMatrix(one, M.p)
+        for _ in range(M.rows - 1):
+            S = PrimeFieldMatrix(one + (N @ S).array, M.p)
+        if np.array_equal((M @ S).array, one):
+            return S.transpose()
+    raise ValueError("dual_action needs a unipotent matrix")
 
 
 def kronecker(A: PrimeFieldMatrix, B: PrimeFieldMatrix) -> PrimeFieldMatrix:

@@ -15,14 +15,11 @@ Ranks are counted only for an explicit matrix (`jordan_type_of`) and for
 `--verify` (`construction`), by the same division-free `_echelon` at every
 prime, p = 2 included. For a matrix, `_rank_chain` carries a row basis of
 the row space of X^k, X = u - 1, along, multiplies it by X and echelonizes
-it once per step. `--verify` ranks each piece V_r tensor V_s^* from the
-lower half of its graded blocks, each upper one a lower one transposed
-(see `construction`). The pieces of one `--verify` item that are not yet
-memoized are eliminated together, one tag per block; the calls are cut
-between blocks, each holds at most `construction._ECHELON_BYTES` of rows,
-and `_echelon` holds about nine copies of them. All arithmetic is integer,
-in the narrowest dtype (int8 to int64) that `linalg._working_dtype` picks
-for the elimination's bound at p; a prime too large for int64 is refused.
+it once per step. `--verify` ranks the pieces V_r tensor V_s^* in
+`construction`, many small problems per call under `_echelon`'s tags. All
+arithmetic is integer, in the narrowest dtype (int8 to int64) that
+`linalg._working_dtype` picks for the elimination's bound at p; a prime
+too large for int64 is refused.
 The closed forms need no such bound: they answer at every prime
 `characteristic` accepts.
 """

@@ -1,7 +1,9 @@
 """Shared helpers for the test suite.
 
-Provides a seeded random partition generator, mod-p matrix powers, a dense
-matrix for the shifted tensor action, a cold start for every memo of
+Provides a seeded random partition generator, mod-p matrix powers,
+Gauss-Jordan row reduction and inverses over GF(p) (the referees of
+`oracle._echelon` and of the conjugations; `src/` never divides to
+eliminate), a dense matrix for the shifted tensor action, a cold start for every memo of
 `construction` and `oracle`, the graded elimination engine of
 `construction` unmemoized and in either factor order (the referee of every
 closed form; the oracle itself eliminates no pair), binomials mod p by
@@ -24,7 +26,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from jordanblocks import JordanType, construction, linalg, oracle
-from jordanblocks.linalg import block_diagonal, dual_action, jordan_block, kronecker
+from jordanblocks.linalg import PrimeFieldMatrix, block_diagonal, dual_action, jordan_block, kronecker
 from jordanblocks.partitions import alpha_of
 
 
@@ -53,6 +55,47 @@ def matrix_power(X: np.ndarray, k: int, p: int) -> np.ndarray:
     for _ in range(k):
         out = (out @ X) % p
     return out
+
+
+def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(p); returns (R, pivot column list).
+
+    Pivots are chosen at the lowest-index coordinate available, so the output
+    is deterministic.
+    """
+    R = np.asarray(arr, dtype=np.int64) % p
+    rows, cols = R.shape
+    piv: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hit = np.nonzero(R[r:, c])[0]
+        if hit.size == 0:
+            continue
+        i = r + int(hit[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
+        other = np.nonzero(R[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            R[other] = (R[other] - np.outer(R[other, c], R[r])) % p
+        piv.append(c)
+        r += 1
+    return R[: len(piv)], piv
+
+
+def inverse(M: PrimeFieldMatrix) -> PrimeFieldMatrix:
+    """Inverse over GF(p) by Gauss-Jordan on [M | I]."""
+    if not M.is_square():
+        raise ValueError("inverse of a non-square matrix")
+    n = M.rows
+    aug = np.hstack([M.array, np.eye(n, dtype=np.int64)])
+    R, piv = rref(aug, M.p)
+    if piv != list(range(n)):
+        raise ValueError("matrix is singular")
+    return PrimeFieldMatrix(R[:, n:], M.p)
 
 
 def as_pairs(row: np.ndarray, s: int) -> dict[tuple[int, int], int]:

@@ -16,6 +16,7 @@ from helpers import (
     dual_shift,
     ladder_failure,
     matrix_power,
+    rref,
     tensor_shift,
     tensor_x_matrix,
 )
@@ -25,7 +26,7 @@ from jordanblocks import (
     build_report,
     partitions_of,
 )
-from jordanblocks import construction, linalg, oracle, recursions, rules
+from jordanblocks import construction, oracle, recursions, rules
 from jordanblocks.construction import build_adjoint_action
 from jordanblocks.linalg import _working_dtype, block_diagonal, dual_action, jordan_block, kronecker
 from jordanblocks.oracle import jordan_type_of
@@ -311,12 +312,13 @@ class TestVerifyMemory:
 class TestBinomialRows:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 10007])
     def test_pascal_rows_match_lucas(self, p):
-        # every power a piece 61 wide reaches, 0 to 120, at every shift
+        # every power a piece 61 wide reaches, 0 to 120, at every offset
         width = 61
-        k, shift = (a.ravel() for a in np.mgrid[: 2 * width - 1, :width])
-        got = construction._binomial_rows(k, shift, width, p, _working_dtype(p, 2))
-        lucas = np.array([[binom_mod_p(a, b, p) for b in range(width)] for a in range(2 * width - 1)])
-        below = np.arange(width) - shift[:, None]  # C(k, c - shift) at column c
+        k, offset = (a.ravel() for a in np.mgrid[: 2 * width - 1, 1 - width : width])
+        windows = construction._pascal_windows(2 * width - 2, width, p, _working_dtype(p, 2))
+        got = windows[k, width + offset]
+        lucas = np.array([[binom_mod_p(a, b, p) for b in range(2 * width - 1)] for a in range(2 * width - 1)])
+        below = np.arange(width) + offset[:, None]  # C(k, c + offset) at column c
         want = np.where(below >= 0, lucas[k[:, None], np.maximum(below, 0)], 0)
         assert np.array_equal(got, want)
 
@@ -351,7 +353,7 @@ class TestGradedDuality:
                     for d in range(top - k + 1):
                         block, mirror = graded_block(r, s, k, d, p), graded_block(r, s, k, top - k - d, p)
                         assert np.array_equal(mirror, block[::-1, ::-1].T), (r, s, k, d)
-                        assert len(linalg.rref(block, p)[1]) == len(linalg.rref(mirror, p)[1]), (r, s, k, d)
+                        assert len(rref(block, p)[1]) == len(rref(mirror, p)[1]), (r, s, k, d)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_pieces_eliminate_only_the_kept_half(self, echelon_rows, p):

@@ -8,13 +8,11 @@ from jordanblocks.linalg import (
     block_diagonal,
     dual_action,
     exterior_square,
-    inverse,
     jordan_block,
     kronecker,
-    rref,
     symmetric_square,
 )
-from helpers import matrix_power
+from helpers import inverse, matrix_power, rref
 
 
 def identity(n: int, p: int) -> PrimeFieldMatrix:
@@ -165,6 +163,21 @@ class TestDualAction:
         A = unitriangular(4, 3, 1)
         B = unitriangular(4, 3, 2)
         assert dual_action(A @ B) == dual_action(A) @ dual_action(B)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_the_gauss_jordan_inverse(self, p):
+        for n in range(1, 13):
+            for seed in range(4):
+                L = unitriangular(n, p, 100 * n + seed)
+                for M in (L, L.transpose()):
+                    assert dual_action(M) == inverse(M).transpose(), (n, seed)
+
+    def test_refuses_a_matrix_that_is_not_unipotent(self):
+        # invertible, with inverse [[3, 0], [0, 1]], but not unipotent; and not square
+        with pytest.raises(ValueError, match="unipotent"):
+            dual_action(PrimeFieldMatrix([[2, 0], [0, 1]], 5))
+        with pytest.raises(ValueError, match="unipotent"):
+            dual_action(PrimeFieldMatrix([[1, 1, 0], [0, 1, 1]], 5))
 
 
 class TestKronecker:

@@ -29,15 +29,13 @@ from jordanblocks.linalg import (
     block_diagonal,
     dual_action,
     exterior_square,
-    inverse,
     jordan_block,
     kronecker,
-    rref,
     symmetric_square,
 )
 from jordanblocks.oracle import jordan_type_of
 
-from helpers import clear_memos, graded_engine, matrix_power, shift_chain_tensor_type
+from helpers import clear_memos, graded_engine, inverse, matrix_power, rref, shift_chain_tensor_type
 
 PRIMES = [2, 3, 5, 7]
 

@@ -3,7 +3,9 @@
 Besides `__all__` itself, the guard reads, without importing or running
 them, the functions `bench/spans.py` traces, the names
 `bench/make_reference.py` imports from the root, and the imports of the
-README's Python examples, and checks that each one still resolves.
+README's Python examples, and checks that each one still resolves. It
+also checks that every function and class of `linalg` is imported by
+another module of the package or traced by the benchmark.
 """
 
 import ast
@@ -77,6 +79,26 @@ def test_every_traced_function_exists():
         if owner is None:
             missing.append(f"{module_name}.{name}")
     assert missing == []
+
+
+def test_linalg_defines_only_what_the_package_or_the_benchmark_uses():
+    # a name only the tests use belongs in tests/helpers.py
+    package = REPO / "src" / "jordanblocks"
+    defined = {
+        node.name
+        for node in ast.parse((package / "linalg.py").read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    used = {name for module, name in assigned(REPO / "bench" / "spans.py", "TRACED") if module == "linalg"}
+    used |= {
+        alias.name
+        for path in package.glob("*.py")
+        if path.stem != "linalg"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "linalg"
+        for alias in node.names
+    }
+    assert sorted(defined - used) == []
 
 
 def test_reference_script_imports_resolve():
