@@ -67,12 +67,9 @@ def _load_fixture(path: str | None) -> list[FixtureRow]:
 def cmd_decompose(args: argparse.Namespace) -> int:
     t = parse_jordan_type(args.type)
     ctx = GroupContext(_GROUPS[args.group], t.dim, args.p)
-    verdict = validate_classical(t, ctx)
-    if not verdict.ok:  # before any carrier, whose cap would hide the reason
-        raise ValueError(verdict.reason)
     # only the printed module: the report's carrier may pass a cap that it does not
     report = build_report(t, ctx) if args.rep == "irr" else None
-    shown = report.irreducible if report else _module(args.rep, t, ctx.p)
+    shown = report.irreducible if report else _module(args.rep, t, ctx)
     if args.verify:
         try:  # the answer is built, so only the check can refuse here
             report = report or build_report(t, ctx)

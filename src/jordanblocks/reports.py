@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .construction import _split_adjoint_type
 from .oracle import DEFAULT_MAX_ENTRIES, ext2_type, sym2_type, tensor_dual_type
 from .partitions import JordanType
-from .rules import GroupContext, adjoint_rule, rule_case, so_2w1_rule, sp_w2_rule
+from .rules import GroupContext, adjoint_rule, rule_case, so_2w1_rule, sp_w2_rule, validate_classical
 
 __all__ = ["DecompositionReport", "build_report"]
 
@@ -56,11 +56,15 @@ class DecompositionReport:
 
 
 def _module(
-    name: str, t: JordanType, p: int, max_entries: int = DEFAULT_MAX_ENTRIES
+    name: str, t: JordanType, ctx: GroupContext, max_entries: int = DEFAULT_MAX_ENTRIES
 ) -> JordanType:
-    """Type of u on the module `name`: tensor (V tensor V*), ext2 or sym2."""
+    """Type of u on the module `name`: tensor (V tensor V*), ext2 or sym2; a t
+    that ctx cannot hold is refused first, so that no engine's cap hides why."""
+    verdict = validate_classical(t, ctx)
+    if not verdict.ok:
+        raise ValueError(f"invalid {ctx.kind} type: {verdict.reason}")
     engine = {"tensor": tensor_dual_type, "ext2": ext2_type, "sym2": sym2_type}[name]
-    return engine(t, p, max_entries=max_entries)
+    return engine(t, ctx.p, max_entries=max_entries)
 
 
 def _verify(
@@ -86,7 +90,7 @@ def _verify(
         return (known["tensor"], report.irreducible) == _split_adjoint_type(t, ctx.p)
     if ctx.p == 2:
         raise ValueError("no check reads the exterior square at p = 2")
-    m = {name: known[name] if name in known else _module(name, t, ctx.p, max_entries)
+    m = {name: known[name] if name in known else _module(name, t, ctx, max_entries)
          for name in ("ext2", "sym2", "tensor")}
     return m["ext2"] + m["sym2"] == m["tensor"] and (ctx.kind != "SL" or _verify(report))
 
@@ -98,13 +102,9 @@ def build_report(
     verify: bool = False,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> DecompositionReport:
-    """Carrier and irreducible types for t in ctx; the group's rule refuses an
-    invalid t, and a t of the wrong dimension is refused before any carrier."""
-    if t.dim != ctx.n:
-        raise ValueError(
-            f"invalid {ctx.kind} type: type has dimension {t.dim}, context needs {ctx.n}"
-        )
-    carrier = _module(_CARRIERS[ctx.kind], t, ctx.p, max_entries)
+    """Carrier and irreducible types for t in ctx; `_module` refuses a t that
+    ctx cannot hold before it computes the carrier."""
+    carrier = _module(_CARRIERS[ctx.kind], t, ctx, max_entries)
     rule = {"SL": adjoint_rule, "Sp": sp_w2_rule, "SO": so_2w1_rule}[ctx.kind]
     report = DecompositionReport(ctx, t, carrier, rule(carrier, t, ctx), rule_case(t, ctx.p))
     return replace(report, verified=_verify(report, max_entries)) if verify else report

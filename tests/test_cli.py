@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from jordanblocks import GroupContext, JordanType, cli, oracle, parse_jordan_type, reports
+from jordanblocks import GroupContext, JordanType, cli, construction, linalg, oracle, parse_jordan_type, reports
 from jordanblocks.cli import main
+
+from helpers import clear_memos
 
 SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sweep.txt"
 
@@ -185,8 +187,7 @@ class TestDecompose:
         code, out, err = run(capsys, "decompose", "--p", "3", "--type", "201, 1", "--group", "sp")
         assert code == 3
         assert out == ""
-        assert "impossible in Sp" in err
-        assert "cap" not in err
+        assert err == "error: invalid Sp type: odd size 1 has odd multiplicity 1, impossible in Sp\n"
 
     @pytest.mark.parametrize("group, size", [("so", "15"), ("sp", "16")])
     def test_square_verify_past_the_cap_names_the_fix(self, capsys, group, size):
@@ -350,6 +351,36 @@ class TestSweep:
         for line in out.strip().splitlines():
             record = json.loads(line)
             assert set(record) == {"context", "input", "carrier", "irreducible", "rule", "verified"}
+
+
+def test_no_answer_eliminates_or_builds_a_matrix(capsys, monkeypatch):
+    # every sweep row and every decompose answer, from cold memos, comes from
+    # closed forms: each elimination, explicit matrix and elimination width refuses
+    def refuse(*args, **kwargs):
+        raise AssertionError("an answer eliminated or built a matrix")
+
+    for module, name in [
+        (oracle, "_echelon"), (oracle, "_rank_chain"), (oracle, "jordan_type_of"),
+        (construction, "_eliminate_pieces"), (reports, "_split_adjoint_type"),
+        (construction, "build_adjoint_action"), (linalg, "jordan_block"), (linalg, "kronecker"),
+        *((module, "_working_dtype") for module in (linalg, oracle, construction, cli)),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    commands = [
+        *(["sweep", "--max-n", "10", "--group", "sl", "--p", p] for p in ("2", "3", "5")),
+        *(["sweep", "--max-n", "10", "--group", group, "--p", p] for group in ("sp", "so") for p in ("3", "5")),
+        *(["decompose", "--p", "3", "--group", group, "--type", TestDecompose.TYPES[group], *rep]
+          for group in ("sl", "sp", "so")
+          for rep in (["--rep", "tensor"], ["--rep", "ext2"], ["--rep", "sym2"], ["--rep", "irr"], ["--json"])),
+        *(["decompose", "--p", "2", "--type", TestDecompose.TYPES["sl"], "--rep", rep]
+          for rep in ("tensor", "ext2", "irr")),
+    ]
+    clear_memos()
+    try:
+        codes = [run(capsys, *argv)[0] for argv in commands]
+    finally:
+        clear_memos()
+    assert codes == [0] * len(commands)
 
 
 class TestReproduceTable:

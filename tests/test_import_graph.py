@@ -54,6 +54,12 @@ def test_the_closed_forms_import_only_partitions():
     assert GRAPH["recursions"] == {"partitions"}
 
 
+def test_only_reports_imports_the_verify_engine():
+    # `--verify`'s engine has one door: no other module, even in a function
+    # body, reaches construction
+    assert {module for module, imported in GRAPH.items() if "construction" in imported} == {"reports"}
+
+
 # (importer, owner, name): a module that takes another's private name. A new
 # crossing is added here in the change that makes it.
 PRIVATE_CROSSINGS = {

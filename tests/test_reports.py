@@ -59,11 +59,17 @@ def test_a_raised_cap_reaches_the_check(group, size):
     assert build_report(t, ctx, verify=True, max_entries=side**2).verified is True
 
 
-@pytest.mark.parametrize("group, n", [("SL", 2), ("Sp", 4), ("SO", 5)])
-def test_a_type_of_the_wrong_dimension_is_refused_before_any_carrier(group, n):
-    # the carrier of 15 is V_15 tensor V_15^* for SL, 225-square and past the
-    # pair cap; the type's dimension is checked before any carrier
-    message = f"^invalid {group} type: type has dimension 15, context needs {n}$"
+@pytest.mark.parametrize("group, n, blocks, reason", [
+    *((group, n, {15: 1}, f"type has dimension 15, context needs {n}")
+      for group, n in [("SL", 2), ("Sp", 4), ("SO", 5)]),
+    ("Sp", 202, {201: 1, 1: 1}, "odd size 1 has odd multiplicity 1, impossible in Sp"),
+    ("SO", 204, {202: 1, 2: 1}, "even size 2 has odd multiplicity 1, impossible in SO"),
+])
+def test_an_invalid_type_is_refused_before_any_carrier(group, n, blocks, reason):
+    # SL's V_15 tensor V_15^* (225-square) and the squares of 201, 1 and
+    # 202, 2 are past the default cap; the type is checked against its group
+    # before any carrier
+    message = f"^invalid {group} type: {reason}$"
     with pytest.raises(ValueError, match=message) as caught:
-        build_report(JordanType({15: 1}), GroupContext(group, n, 3))
+        build_report(JordanType(blocks), GroupContext(group, n, 3))
     assert not isinstance(caught.value, OracleCapError)
