@@ -29,17 +29,11 @@ FixtureRow = tuple[int, int, JordanType, JordanType, JordanType]
 
 
 def _load_fixture(path: str | None) -> list[FixtureRow]:
-    if path is None:
-        text = (
-            resources.files("jordanblocks")
-            .joinpath("data/table_rows.txt")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot read fixture: {exc}") from exc
+    source = resources.files("jordanblocks") / "data" / "table_rows.txt" if path is None else Path(path)
+    try:
+        text = source.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read fixture: {exc}") from exc
     rows: list[FixtureRow] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -134,9 +134,8 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     (image, eps, 0), and it gets a probe (I, 0, 1) for each 1 <= k < d.
     While I is in im X^k, eps kills ker X^k (the trace pairing is
     u-invariant), so the block holds a row (0, e, m), m != 0, and
-    c = -e / m; for h < k < d the probe adds an image pivot, taken off
-    twice, as its block (k >= 1) is counted twice. With no such row, h = 0
-    and X^0 = 1 gives (0, -tr I, 1).
+    c = -e / m; a probe that finds no preimage is left out of its block's
+    rank. With no such row, h = 0 and X^0 = 1 gives (0, -tr I, 1).
     """
     if not keys:
         return []
@@ -162,7 +161,8 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     column = np.arange(wide)
     sign = (1 - 2 * (column & 1)) % p
     rank = np.zeros(k.size, dtype=np.intp)
-    kept = []  # (block, e, m) for each row (0, e, m), m != 0
+    h = np.zeros(r.size, dtype=np.intp)
+    c = r % p  # with no row (0, e, m), h = 0 and X^0 = 1 gives (0, -tr I, 1)
     start = 0
     while start < k.size:
         # the most blocks from start whose rows fit the budget, and at least one
@@ -180,22 +180,18 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
             work[at.size :, -1] = 1
         basis, tags = _echelon(work, p, np.concatenate([at, probes]) - start)
         in_image = basis[:, :wide].any(axis=1)  # rows (0, e, m) count in no rank
+        member = ~in_image & (basis[:, -1] != 0)  # the probe's I has a preimage
         rank[start:stop] = np.bincount(tags[in_image], minlength=stop - start)
-        member = ~in_image & (basis[:, -1] != 0)
-        kept += zip((start + tags[member]).tolist(), *basis[member, -2:].T.tolist())
+        rank[start:stop] -= probe[start:stop] & (np.bincount(tags[member], minlength=stop - start) == 0)
+        # a piece's blocks come in order of k, the last at h
+        for b, e, m in sorted(zip((start + tags[member]).tolist(), *basis[member, -2:].T.tolist())):
+            h[piece[b]], c[piece[b]] = k[b], -e * pow(m, -1, p) % p
         start = stop
 
     ranks = np.zeros((r.size, top.max() + 2), dtype=np.intp)
     # each block but the middle one, 2d = top - k, has a mirror
     np.add.at(ranks, (piece, k), rank * (1 + (2 * d + k < top[piece])))
     ranks[:, 0] = r * s
-    h = np.zeros(r.size, dtype=np.intp)
-    c = r % p  # with no row (0, e, m), h = 0 and X^0 = 1 gives (0, -tr I, 1)
-    for b, e, m in sorted(kept):  # a piece's blocks come in order of k, the last at h
-        h[piece[b]], c[piece[b]] = k[b], -e * pow(m, -1, p) % p
-    # the probe's block has a mirror
-    powers = np.arange(ranks.shape[1])
-    ranks -= 2 * (diagonal[:, None] & (h[:, None] < powers) & (powers < r[:, None]))
     invariants = [(int(h[b]), int(c[b])) if diagonal[b] else None for b in range(r.size)]
     return [(tuple(row[: row.index(0) + 1]), inv) for row, inv in zip(ranks.tolist(), invariants)]
 

@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from jordanblocks import GroupContext, JordanType, cli, construction, linalg, oracle, parse_jordan_type, reports
+from jordanblocks import (
+    GroupContext, JordanType, cli, construction, linalg, oracle, parse_jordan_type, partitions_of, reports,
+    validate_classical,
+)
 from jordanblocks.cli import main
 
 from helpers import clear_memos
@@ -237,6 +241,30 @@ class TestDecompose:
         assert out.splitlines()[-1] == "verified: MISMATCH"
 
     @pytest.mark.parametrize("group", ["sl", "sp", "so"])
+    def test_verify_never_changes_the_printed_answer(self, capsys, group):
+        kind, dims = {"sl": ("SL", range(2, 7)), "sp": ("Sp", (4, 6)), "so": ("SO", (5, 6, 7))}[group]
+        commands = 0
+        for n, p in itertools.product(dims, (2, 3, 5)):
+            try:
+                ctx = GroupContext(kind, n, p)
+            except ValueError:
+                continue
+            for t in partitions_of(n):
+                if not validate_classical(t, ctx).ok:
+                    continue
+                for rep in ("tensor", "ext2", "sym2", "irr"):
+                    argv = ("decompose", "--p", str(p), "--group", group, "--type", t.render(), "--rep", rep)
+                    plain, checked = run(capsys, *argv), run(capsys, *argv, "--verify")
+                    commands += 2
+                    if (group, rep, p) == ("sl", "ext2", 2):  # no check reads the exterior square at p = 2
+                        assert checked[:2] == (3, "") and "--verify" in checked[2]
+                    elif (group, rep, p) == ("sl", "sym2", 2):  # S^2 V is refused at p = 2 either way
+                        assert plain[0] == 3 and checked == plain
+                    else:
+                        assert plain[0] == 0 and checked == (0, plain[1] + "verified: ok\n", "")
+        assert commands == {"sl": 672, "sp": 192, "so": 256}[group]
+
+    @pytest.mark.parametrize("group", ["sl", "sp", "so"])
     @pytest.mark.parametrize("rep", ["tensor", "ext2", "sym2", "irr"])
     @pytest.mark.parametrize("verify", [[], ["--verify"]])
     def test_each_command_builds_at_most_one_report(self, capsys, monkeypatch, group, rep, verify):
@@ -315,6 +343,17 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--p", str(p), "--max-n", "14")
         assert code == 0
         assert out.splitlines() == want
+
+    def test_rows_the_cap_refuses_are_answered_and_verified_past_it(self):
+        # the reference's p = 2 call reaches n = 15, whose 225-square V tensor V*
+        # the default cap refuses; past the cap both routes give its rows
+        want = [row for row in reference_rows("sl", 2, 15) if row.startswith("15;")]
+        got = []
+        for t in partitions_of(15):
+            report = reports.build_report(t, GroupContext("SL", 15, 2), verify=True, max_entries=225**2)
+            assert report.verified
+            got.append(f"15;2;{t.render()};{report.carrier.render()};{report.irreducible.render()};{report.rule}")
+        assert len(want) == 176 and got == want
 
     @pytest.mark.parametrize("group, kind", [("sl", "SL"), ("sp", "Sp"), ("so", "SO")])
     @pytest.mark.parametrize("p", [3, 5])
