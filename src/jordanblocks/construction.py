@@ -65,18 +65,34 @@ def build_adjoint_action(t: JordanType, p: int) -> PrimeFieldMatrix:
     return PrimeFieldMatrix(reduced[np.ix_(keep, keep)], p)
 
 
-def _pascal_windows(top: int, wide: int, p: int, dtype) -> np.ndarray:
-    """Windows of wide columns over Pascal's rows 0 to top mod p, each row
-    laid right of wide zeros in a table 3 * wide columns wide: row k's
+# p -> windows over Pascal's rows mod p, as `_pascal_windows` reads them, as
+# tall and as wide as the tallest and the widest call at p so far; read-only.
+_pascal_memo: dict[int, np.ndarray] = {}
+
+
+def _pascal_windows(top: int, wide: int, p: int) -> np.ndarray:
+    """Windows of wide columns over Pascal's rows 0 to top mod p: row k's
     window at wide + o holds C(k, c + o) at column c, 0 where c + o < 0,
     for -wide < o < wide. The graded kernel reads its binomial rows here.
+
+    They are views of `_pascal_memo`'s windows at p, kept for the process:
+    each row of the table lies right of as many zeros as its windows are
+    wide, in three times that many columns, in `_echelon`'s dtype at p. A
+    call that fits them reads them; a taller or a wider one rebuilds them
+    to cover both.
     """
-    pascal = np.zeros((top + 1, 3 * wide), dtype=dtype)
-    pascal[0, wide] = 1
-    for row in range(1, top + 1):
-        np.add(pascal[row - 1, 1:], pascal[row - 1, :-1], out=pascal[row, 1:])
-        pascal[row] %= p
-    return np.lib.stride_tricks.sliding_window_view(pascal, wide, axis=1)
+    windows = _pascal_memo.get(p)
+    if windows is None or windows.shape[0] <= top or windows.shape[2] < wide:
+        rows = max(top + 1, 0 if windows is None else windows.shape[0])
+        most = max(wide, 0 if windows is None else windows.shape[2])
+        table = np.zeros((rows, 3 * most), dtype=_working_dtype(p, 2))
+        table[0, most] = 1
+        for row in range(1, rows):
+            np.add(table[row - 1, 1:], table[row - 1, :-1], out=table[row, 1:])
+            table[row] %= p
+        table.flags.writeable = False
+        windows = _pascal_memo[p] = np.lib.stride_tricks.sliding_window_view(table, most, axis=1)
+    return windows[:, windows.shape[2] - wide :, :wide]
 
 
 # The byte budget of one `_echelon` call's rows (see `_eliminate_pieces`).
@@ -91,8 +107,8 @@ _piece_memo: dict[tuple[int, int, int], _Piece] = {}
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, index) for every 0 <= index < counts[owner], in order."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    owner = np.arange(counts.size).repeat(counts)
+    return owner, np.arange(owner.size) - (counts.cumsum() - counts)[owner]
 
 
 def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
@@ -105,7 +121,8 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     of at most `_ECHELON_BYTES` of rows each (a larger block goes alone), as
     `_echelon` holds about nine copies of them; each call builds only its
     own rows, max r wide, plus 2 if a piece is diagonal. Pascal's rows are
-    built once for all calls (`_pascal_windows`).
+    kept per prime for the process, as tall and as wide as the largest
+    call at that prime so far (`_pascal_windows`).
 
     V_s^* is isomorphic to V_s as a k[u]-module, so X^k has the same ranks
     on V_r tensor V_s^* as on V_r tensor V_s = k[x, y]/(x^r, y^s). There
@@ -146,40 +163,41 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     wide = int(r.max())
     width = wide + 2 * int(diagonal.any())
     most = _ECHELON_BYTES // (width * np.dtype(dtype).itemsize)  # rows one call may take
-    # every block (piece, k, d) with 1 <= k <= top and 2d <= top - k, in tag order
+    # every block (piece, k, d) with 1 <= k <= top and 2d <= top - k, in tag
+    # order, and the power (piece, k) that it is a block of
     piece, k = _ragged(top)
-    block, d = _ragged((top[piece] - k - 1) // 2 + 1)
-    piece, k = piece[block], k[block] + 1
+    power, d = _ragged((top[piece] - k - 1) // 2 + 1)
+    piece, k = piece[power], k[power] + 1
     # the sources x^i v^(d-i), i <= min(d, r - 1): as r <= s, 2d < top gives d < s
     sources = np.minimum(d, r[piece] - 1) + 1
     probe = diagonal[piece] & (d + k == r[piece] - 1)  # the block maps onto I
-    ends = np.concatenate([[0], np.cumsum(sources + probe)])  # rows before each block
+    ends = np.concatenate(([0], (sources + probe).cumsum()))  # rows before each block
     # the exponent of v, d + k - c, stays below s, and that of x below r
     first = np.maximum(d + k - s[piece] + 1, 0)
     span = r[piece] - first
-    windows = _pascal_windows(int(top.max()), wide, p, dtype)
+    windows = _pascal_windows(int(top.max()), wide, p)
     column = np.arange(wide)
-    sign = (1 - 2 * (column & 1)) % p
+    keep = (column < np.arange(wide + 1)[:, None]).astype(dtype)  # row n: ones in n columns
+    sign = np.where(column & 1, p - 1, 1)
     rank = np.zeros(k.size, dtype=np.intp)
     h = np.zeros(r.size, dtype=np.intp)
     c = r % p  # with no row (0, e, m), h = 0 and X^0 = 1 gives (0, -tr I, 1)
     start = 0
     while start < k.size:
         # the most blocks from start whose rows fit the budget, and at least one
-        stop = max(int(np.searchsorted(ends, ends[start] + most, "right")) - 1, start + 1)
+        stop = max(int(ends.searchsorted(ends[start] + most, "right")) - 1, start + 1)
         owner, i = _ragged(sources[start:stop])
         at = start + owner
-        probes = start + np.flatnonzero(probe[start:stop])
+        probes = probe[start:stop].nonzero()[0]
         work = np.zeros((at.size + probes.size, width), dtype=dtype)
         image = work[: at.size, :wide]
-        image[:] = windows[k[at], wide + first[at] - i]
-        image[column >= span[at][:, None]] = 0
-        if diagonal.any():
+        np.multiply(windows[k[at], wide + first[at] - i], keep.take(span[at], axis=0), out=image)
+        if probes.size:
             work[: at.size, -2] = np.where(probe[at], sign[i], 0)
-            work[at.size :, :wide] = np.where(column < r[piece[probes]][:, None], sign, 0)
+            work[at.size :, :wide] = keep.take(r[piece[start + probes]], axis=0) * sign
             work[at.size :, -1] = 1
-        basis, tags = _echelon(work, p, np.concatenate([at, probes]) - start)
-        in_image = basis[:, :wide].any(axis=1)  # rows (0, e, m) count in no rank
+        basis, tags = _echelon(work, p, np.concatenate([owner, probes]))
+        in_image = (basis != 0).argmax(axis=1) < wide  # rows (0, e, m) count in no rank
         member = ~in_image & (basis[:, -1] != 0)  # the probe's I has a preimage
         rank[start:stop] = np.bincount(tags[in_image], minlength=stop - start)
         rank[start:stop] -= probe[start:stop] & (np.bincount(tags[member], minlength=stop - start) == 0)
@@ -188,12 +206,15 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
             h[piece[b]], c[piece[b]] = k[b], -e * pow(m, -1, p) % p
         start = stop
 
-    ranks = np.zeros((r.size, top.max() + 2), dtype=np.intp)
-    # each block but the middle one, 2d = top - k, has a mirror
-    np.add.at(ranks, (piece, k), rank * (1 + (2 * d + k < top[piece])))
-    ranks[:, 0] = r * s
-    invariants = [(int(h[b]), int(c[b])) if diagonal[b] else None for b in range(r.size)]
-    return [(tuple(row[: row.index(0) + 1]), inv) for row, inv in zip(ranks.tolist(), invariants)]
+    # rank X^k for each power (piece, k), k >= 1, in order: each block but
+    # the middle one, 2d = top - k, counts twice for its mirror
+    power_ranks = np.bincount(power, rank * (1 + (2 * d + k < top[piece]))).astype(np.intp).tolist()
+    out, done = [], 0
+    for rb, sb, tb, hb, cb in zip(r.tolist(), s.tolist(), top.tolist(), h.tolist(), c.tolist()):
+        ranks = [rb * sb, *power_ranks[done : done + tb], 0]
+        out.append((tuple(ranks[: ranks.index(0) + 1]), (hb, cb) if rb == sb else None))
+        done += tb
+    return out
 
 
 def _split_adjoint_type(t: JordanType, p: int) -> tuple[JordanType, JordanType]:

@@ -58,10 +58,11 @@ def _echelon(
 
     work must already be reduced mod p; it is overwritten.
 
-    Vectorized rounds: every active row is bucketed by its leading column,
-    one row per new column is accepted as a pivot as it stands, and every
-    active row r then becomes lead(pivot) * r + (p - lead(r)) * pivot for the
-    pivot sharing its column. That clears r's lead without a modular inverse,
+    Vectorized rounds: every active row is bucketed by its (tag, leading
+    column) key, any one row per new key (whichever a scatter of row indices
+    leaves in place) is accepted as a pivot as it stands, and every active
+    row r then becomes lead(pivot) * r + (p - lead(r)) * pivot for the
+    pivot sharing its key. That clears r's lead without a modular inverse,
     since scaling by a unit keeps the row space. A row just accepted becomes
     p times itself and dies; every other surviving row's leading column
     strictly advances, so the loop terminates.
@@ -89,29 +90,29 @@ def _echelon(
     base = tags * ncols
     idx = np.arange(nrows)
     while act.shape[0]:
-        leads = np.argmax(act != 0, axis=1)
+        leads = (act != 0).argmax(axis=1)
         coef = act[idx[: act.shape[0]], leads]
-        n_alive = int(np.count_nonzero(coef))
-        if n_alive == 0:
+        alive = coef.nonzero()[0]
+        if alive.size == 0:
             break
-        if n_alive < act.shape[0]:
-            alive = coef != 0
-            act = act[alive]
+        if alive.size < act.shape[0]:
+            act = act.take(alive, axis=0)
             leads = leads[alive]
             coef = coef[alive]
             base = base[alive]
         keys = base + leads
         pidx = pivot_at[keys]
-        if pidx.min() < 0:
-            fresh = pidx < 0
-            new, order = np.unique(keys[fresh], return_index=True)
-            take = np.flatnonzero(fresh)[order]
-            acc[count : count + len(new)] = act[take]
-            lead[count : count + len(new)] = coef[take]
-            pivot_at[new] = count + np.arange(len(new))
-            count += len(new)
+        fresh = (pidx < 0).nonzero()[0]
+        if fresh.size:
+            new = keys[fresh]
+            pivot_at[new] = fresh  # any one row of each new key wins
+            won = fresh[pivot_at[new] == fresh]
+            acc[count : count + won.size] = act.take(won, axis=0)
+            lead[count : count + won.size] = coef[won]
+            pivot_at[keys[won]] = np.arange(count, count + won.size)
+            count += won.size
             pidx = pivot_at[keys]
-        piv = acc[pidx]
+        piv = acc.take(pidx, axis=0)
         np.subtract(p, coef, out=coef)
         np.multiply(piv, coef[:, None], out=piv)
         np.multiply(act, lead[pidx][:, None], out=act)
@@ -119,7 +120,7 @@ def _echelon(
         quot = act // p
         quot *= p
         act -= quot
-    keys = np.flatnonzero(pivot_at >= 0)
+    keys = (pivot_at >= 0).nonzero()[0]
     row_tags = np.empty(count, dtype=np.intp)
     row_tags[pivot_at[keys]] = keys // ncols
     return acc[:count], row_tags

@@ -117,13 +117,15 @@ def tensor_x_matrix(t: JordanType, p: int) -> np.ndarray:
 
 def clear_memos() -> None:
     """Empty every `lru_cache` of `construction` and `oracle`, found by its
-    cache_clear, and the piece memo `construction._piece_memo`, so that a
-    test starts cold whichever memos they hold."""
+    cache_clear, the piece memo `construction._piece_memo` and the kept
+    Pascal rows `construction._pascal_memo`, so that a test starts cold
+    whichever memos they hold."""
     for module in (construction, oracle):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
     construction._piece_memo.clear()
+    construction._pascal_memo.clear()
 
 
 def graded_engine(m: int, n: int, p: int) -> JordanType:

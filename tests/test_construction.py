@@ -28,7 +28,7 @@ from jordanblocks import (
 )
 from jordanblocks import construction, oracle, recursions, rules
 from jordanblocks.construction import build_adjoint_action
-from jordanblocks.linalg import _working_dtype, block_diagonal, dual_action, jordan_block, kronecker
+from jordanblocks.linalg import block_diagonal, dual_action, jordan_block, kronecker
 from jordanblocks.oracle import jordan_type_of
 from jordanblocks.partitions import alpha_of, nu_p
 
@@ -204,11 +204,12 @@ def test_clear_memos_leaves_every_memo_cold():
 
     def sizes():
         memos = (oracle._tensor_block_type, oracle._square_single)
-        return [memo.cache_info().currsize for memo in memos] + [len(construction._piece_memo)]
+        kept = (construction._piece_memo, construction._pascal_memo)
+        return [memo.cache_info().currsize for memo in memos] + [len(memo) for memo in kept]
 
     assert all(sizes())
     helpers.clear_memos()
-    assert sizes() == [0, 0, 0]
+    assert sizes() == [0, 0, 0, 0]
 
 
 def one_piece(r: int, s: int, p: int) -> tuple[tuple[int, ...], tuple[int, int] | None]:
@@ -276,6 +277,7 @@ class TestVerifyMemory:
         # End(V_40) is 1600-dimensional; its piece ranks and invariants come
         # from 21 359 graded rows 42 wide, cut between blocks into two calls
         # under the byte budget
+        helpers.clear_memos()
         tracemalloc.start()
         try:
             assert one_piece(40, 40, 2)[1] == (7, 1)
@@ -300,6 +302,7 @@ class TestVerifyMemory:
     def test_a_large_diagonal_piece_stays_small(self):
         # End(V_100) puts 333 399 graded rows 102 wide through `_echelon`;
         # one call on all of them peaks near 256 MB
+        helpers.clear_memos()
         tracemalloc.start()
         try:
             assert one_piece(100, 100, 2)[1] == (3, 1)
@@ -312,15 +315,43 @@ class TestVerifyMemory:
 class TestBinomialRows:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 10007])
     def test_pascal_rows_match_lucas(self, p):
-        # every power a piece 61 wide reaches, 0 to 120, at every offset
-        width = 61
-        k, offset = (a.ravel() for a in np.mgrid[: 2 * width - 1, 1 - width : width])
-        windows = construction._pascal_windows(2 * width - 2, width, p, _working_dtype(p, 2))
-        got = windows[k, width + offset]
-        lucas = np.array([[binom_mod_p(a, b, p) for b in range(2 * width - 1)] for a in range(2 * width - 1)])
-        below = np.arange(width) + offset[:, None]  # C(k, c + offset) at column c
-        want = np.where(below >= 0, lucas[k[:, None], np.maximum(below, 0)], 0)
-        assert np.array_equal(got, want)
+        # every power a piece 61 wide reaches, 0 to 120, at every offset, read
+        # from a table built for 17 columns, from the one a 61-wide call
+        # rebuilds it to, and from that kept table by a 17-wide call again
+        helpers.clear_memos()
+        lucas = np.array([[binom_mod_p(a, b, p) for b in range(121)] for a in range(121)])
+        for width in (17, 61, 17):
+            k, offset = (a.ravel() for a in np.mgrid[: 2 * width - 1, 1 - width : width])
+            windows = construction._pascal_windows(2 * width - 2, width, p)
+            got = windows[k, width + offset]
+            below = np.arange(width) + offset[:, None]  # C(k, c + offset) at column c
+            want = np.where(below >= 0, lucas[k[:, None], np.maximum(below, 0)], 0)
+            assert np.array_equal(got, want), width
+        assert construction._pascal_memo[p].shape[0] == 121
+
+    def test_the_kept_table_is_read_only(self):
+        helpers.clear_memos()
+        windows = construction._pascal_windows(10, 6, 3)
+        kept = construction._pascal_memo[3]
+        assert not windows.flags.writeable
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            windows[1, 6, 0] = 2
+
+    def test_cold_calls_at_one_prime_build_pascal_rows_once(self):
+        # the second call is shorter and narrower than the first, so it reads
+        # the rows the first one kept; another prime builds its own
+        helpers.clear_memos()
+        first = construction._eliminate_pieces([(5, 7), (7, 7)], 3)
+        kept = construction._pascal_memo[3]
+        second = construction._eliminate_pieces([(2, 4), (4, 6), (6, 6)], 3)
+        assert construction._pascal_memo[3] is kept
+        construction._eliminate_pieces([(2, 4)], 5)
+        assert construction._pascal_memo[3] is kept and set(construction._pascal_memo) == {3, 5}
+        # and reads what a cold process would
+        helpers.clear_memos()
+        assert construction._eliminate_pieces([(2, 4), (4, 6), (6, 6)], 3) == second
+        assert construction._eliminate_pieces([(5, 7), (7, 7)], 3) == first
 
 
 def graded_block(r: int, s: int, k: int, d: int, p: int) -> np.ndarray:

@@ -443,6 +443,13 @@ class TestEchelon:
             want, piv = rref(work[tags == t], p)
             assert counts[t] == len(piv)
             assert np.array_equal(rref(got[got_tags == t], p)[0], want)
+        # any row of a new key may win its pivot: with the rows and their tags
+        # permuted, each tag keeps its basis count and its rref
+        order = rng.permutation(work.shape[0])
+        got, got_tags = oracle._echelon(work[order].astype(dtype), p, tags[order])
+        assert np.array_equal(np.bincount(got_tags, minlength=ntags), counts)
+        for t in range(ntags):
+            assert np.array_equal(rref(got[got_tags == t], p)[0], rref(work[tags == t], p)[0])
         # one tag for every row is the untagged elimination, row for row
         got, got_tags = oracle._echelon(work.astype(dtype), p, np.zeros_like(tags))
         want, want_tags = oracle._echelon(work.astype(dtype), p)
