@@ -196,8 +196,8 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
             work[: at.size, -2] = np.where(probe[at], sign[i], 0)
             work[at.size :, :wide] = keep.take(r[piece[start + probes]], axis=0) * sign
             work[at.size :, -1] = 1
-        basis, tags = _echelon(work, p, np.concatenate([owner, probes]))
-        in_image = (basis != 0).argmax(axis=1) < wide  # rows (0, e, m) count in no rank
+        basis, pivots = _echelon(work, p, np.concatenate([owner, probes]))
+        tags, in_image = pivots // width, pivots % width < wide  # rows (0, e, m) count in no rank
         member = ~in_image & (basis[:, -1] != 0)  # the probe's I has a preimage
         rank[start:stop] = np.bincount(tags[in_image], minlength=stop - start)
         rank[start:stop] -= probe[start:stop] & (np.bincount(tags[member], minlength=stop - start) == 0)

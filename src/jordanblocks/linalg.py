@@ -27,8 +27,8 @@ def _working_dtype(p: int, terms: int):
     sums stay non-negative. A prime whose bound int64 cannot hold is refused.
     """
     terms = max(terms, 2)
-    for dt in (np.int8, np.int16, np.int32, np.int64):
-        if terms * (p - 1) * (p - 1) + p <= np.iinfo(dt).max:
+    for dt, bits in ((np.int8, 7), (np.int16, 15), (np.int32, 31), (np.int64, 63)):
+        if terms * (p - 1) * (p - 1) + p <= 2**bits - 1:
             return dt
     raise ValueError(f"p = {p} is too large: a sum of {terms} products mod p would overflow int64")
 

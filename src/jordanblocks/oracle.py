@@ -72,11 +72,11 @@ def _echelon(
     faster than np.mod in int8 to int32 and within about 10% of it in int64.
 
     tags, one non-negative integer per row (None: every row has tag 0),
-    solves independent problems in one call: pivots are keyed on (tag,
-    leading column), so a row only ever meets pivots of its own tag. It
-    returns the basis and the tag of each basis row; the rows of tag t span
-    the row space of the input rows of tag t. One tagged call is an order
-    of magnitude faster than one call per tag for many small problems.
+    solves independent problems in one call: a row only ever meets pivots
+    of its own tag. It returns the basis and each basis row's key, tag *
+    ncols + leading column (tag = key // ncols); the rows of tag t span the
+    row space of the input rows of tag t. One tagged call is an order of
+    magnitude faster than one call per tag for many small problems.
     """
     nrows, ncols = work.shape
     if tags is None:
@@ -84,6 +84,7 @@ def _echelon(
     nkeys = (int(tags.max()) + 1 if nrows else 1) * ncols
     acc = np.zeros((min(nrows, nkeys), ncols), dtype=work.dtype)
     lead = np.zeros(acc.shape[0], dtype=work.dtype)
+    row_keys = np.zeros(acc.shape[0], dtype=np.intp)
     pivot_at = np.full(nkeys, -1, dtype=np.intp)
     count = 0
     act = work
@@ -109,6 +110,7 @@ def _echelon(
             won = fresh[pivot_at[new] == fresh]
             acc[count : count + won.size] = act.take(won, axis=0)
             lead[count : count + won.size] = coef[won]
+            row_keys[count : count + won.size] = keys[won]
             pivot_at[keys[won]] = np.arange(count, count + won.size)
             count += won.size
             pidx = pivot_at[keys]
@@ -120,10 +122,7 @@ def _echelon(
         quot = act // p
         quot *= p
         act -= quot
-    keys = (pivot_at >= 0).nonzero()[0]
-    row_tags = np.empty(count, dtype=np.intp)
-    row_tags[pivot_at[keys]] = keys // ncols
-    return acc[:count], row_tags
+    return acc[:count], row_keys[:count]
 
 
 def _rank_chain(times_x, n: int, p: int, dtype) -> list[int]:

@@ -11,9 +11,10 @@ Lucas's theorem (the referee of the engine's Pascal rows), the power of p
 that the reflection fold folds across, the ungraded rank chain for
 J_m (x) J_n that the graded engine is tested against, the chained
 elimination over End(V_d) that the graded per-size invariants are tested
-against, and the paper's proof model: closed forms for powers of
+against, the paper's proof model: closed forms for powers of
 X = u - 1 on dual and tensor vectors, the delta_beta vectors, and the
-check that X walks them down the ladder.
+check that X walks them down the ladder, and the Sp/SO referee: u's type
+on L(w_2) or L(2 w_1) built from an invariant form.
 
 Positions inside a block are 1-based; an index outside 1..n denotes the
 zero vector, so the closed forms return an empty mapping for it.
@@ -26,7 +27,9 @@ import numpy as np
 import scipy.sparse as sparse
 
 from jordanblocks import JordanType, construction, linalg, oracle
-from jordanblocks.linalg import PrimeFieldMatrix, block_diagonal, dual_action, jordan_block, kronecker
+from jordanblocks.linalg import (
+    PrimeFieldMatrix, block_diagonal, dual_action, exterior_square, jordan_block, kronecker, symmetric_square
+)
 from jordanblocks.partitions import alpha_of
 
 
@@ -355,3 +358,61 @@ def ladder_failure(t: JordanType, p: int) -> int | None:
                 if not np.array_equal(v, delta(lower, d, p)):
                     return beta
     return None
+
+
+def null_space(a: np.ndarray, p: int) -> np.ndarray:
+    """Rows spanning {x : a @ x = 0 mod p}, one per free column of rref(a)."""
+    R, piv = rref(a, p)
+    free = [c for c in range(a.shape[1]) if c not in piv]
+    out = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    for row, f in enumerate(free):
+        out[row, f] = 1
+        out[row, piv] = -R[:, f] % p
+    return out
+
+
+def form_square_type(t: JordanType, p: int, alternating: bool, seed: int = 0) -> JordanType:
+    """Type of u on L(w_2) (Sp, alternating) or L(2 w_1) (SO), from the module.
+
+    u is the Jordan matrix of t acting on rows; B is a seeded random
+    nondegenerate solution of u B u^T = B, alternating or symmetric. On the
+    exterior square (basis e_i ^ e_j, i < j) or the symmetric square
+    (monomials x_i x_j, i <= j) the contraction c(v w) = B(v, w) and
+    w* = sum (B^-1)_ij e_i e_j are checked to be u-invariant, and L is
+    ker c / W with W = <w*> if c(w*) = 0 and W = 0 otherwise; rank X^k on L
+    is dim(X^k ker c + W) - dim W. It is built on `rref`, `inverse`, numpy
+    and the explicit matrices of `linalg` alone: no rule, router, recursion
+    or carrier, and nothing assumes when w* lies in ker c.
+    """
+    U = block_diagonal([jordan_block(size, p) for size, mult in t for _ in range(mult)])
+    u, n = U.array, U.rows
+    i, j = np.triu_indices(n, int(alternating))
+    forms = np.zeros((i.size, n, n), dtype=np.int64)
+    forms[np.arange(i.size), j, i] = p - 1 if alternating else 1
+    forms[np.arange(i.size), i, j] = 1
+    solutions = null_space(((u @ forms @ u.T - forms) % p).reshape(i.size, -1).T, p)
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        B = np.tensordot(rng.integers(0, p, solutions.shape[0]) @ solutions % p, forms, 1) % p
+        if len(rref(B, p)[1]) == n:
+            break
+    else:
+        raise AssertionError(f"no nondegenerate invariant form for {t} at p = {p}")
+    B_inv = inverse(PrimeFieldMatrix(B, p)).array
+    # both squares list the pairs i < j (i <= j) in the order of triu_indices
+    square = (exterior_square if alternating else symmetric_square)(U).array
+    omega = B_inv[i, j] if alternating else np.where(i == j, 1, 2) * B_inv[i, j] % p
+    c = B[i, j]
+    if ((square @ c - c) % p).any() or ((omega @ square - omega) % p).any():
+        raise AssertionError(f"the contraction or w* is not u-invariant for {t} at p = {p}")
+    x = (square - np.eye(i.size, dtype=np.int64)) % p
+    w = omega[None, :] if c @ omega % p == 0 else np.zeros((0, i.size), dtype=np.int64)
+    rows, ranks = null_space(c[None, :], p), []
+    while not ranks or ranks[-1]:
+        ranks.append(len(rref(np.vstack([rows, w]), p)[1]) - w.shape[0])
+        if len(ranks) > 1 and ranks[-1] >= ranks[-2]:
+            raise AssertionError(f"X is not nilpotent on L for {t} at p = {p}")
+        rows = rref(rows, p)[0] @ x % p
+    r = [*ranks, 0]
+    blocks = {m: r[m - 1] - 2 * r[m] + r[m + 1] for m in range(1, len(ranks))}
+    return JordanType((m, mult) for m, mult in blocks.items() if mult)

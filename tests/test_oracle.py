@@ -392,6 +392,8 @@ class TestWorkingDtype:
             (127, np.int16, np.int32),
             (131, np.int32, np.int32),
             (10007, np.int32, np.int32),
+            (32749, np.int32, np.int64),
+            (32771, np.int64, np.int64),
             (1000003, np.int64, np.int64),
         ],
     )
@@ -437,7 +439,13 @@ class TestEchelon:
         ])
         dtype = linalg._working_dtype(p, 2)
         tags = rng.integers(0, ntags, size=work.shape[0])
-        got, got_tags = oracle._echelon(work.astype(dtype), p, tags)
+        got, keys = oracle._echelon(work.astype(dtype), p, tags)
+        # each basis row is nonzero, and its key is tag * cols + its first
+        # nonzero column, one key a row
+        assert (got != 0).any(axis=1).all()
+        assert np.array_equal(keys % cols, (got != 0).argmax(axis=1))
+        assert np.unique(keys).size == keys.size
+        got_tags = keys // cols
         counts = np.bincount(got_tags, minlength=ntags)
         for t in range(ntags):
             want, piv = rref(work[tags == t], p)
@@ -446,15 +454,18 @@ class TestEchelon:
         # any row of a new key may win its pivot: with the rows and their tags
         # permuted, each tag keeps its basis count and its rref
         order = rng.permutation(work.shape[0])
-        got, got_tags = oracle._echelon(work[order].astype(dtype), p, tags[order])
+        got, keys = oracle._echelon(work[order].astype(dtype), p, tags[order])
+        got_tags = keys // cols
         assert np.array_equal(np.bincount(got_tags, minlength=ntags), counts)
         for t in range(ntags):
             assert np.array_equal(rref(got[got_tags == t], p)[0], rref(work[tags == t], p)[0])
-        # one tag for every row is the untagged elimination, row for row
-        got, got_tags = oracle._echelon(work.astype(dtype), p, np.zeros_like(tags))
-        want, want_tags = oracle._echelon(work.astype(dtype), p)
+        # one tag for every row is the untagged elimination, row for row and
+        # key for key
+        got, keys = oracle._echelon(work.astype(dtype), p, np.zeros_like(tags))
+        want, want_keys = oracle._echelon(work.astype(dtype), p)
         assert np.array_equal(got, want)
-        assert not got_tags.any() and not want_tags.any()
+        assert np.array_equal(keys, want_keys)
+        assert not (want_keys // cols).any()
 
 
 def routed_cold(m: int, n: int, p: int) -> tuple[JordanType, int]:

@@ -8,7 +8,9 @@ from jordanblocks import (
     GroupContext,
     JordanType,
     adjoint_rule,
+    build_report,
     ext2_type,
+    parse_jordan_type,
     partitions_of,
     sym2_type,
     tensor_dual_type,
@@ -18,6 +20,7 @@ from jordanblocks.construction import build_adjoint_action
 from jordanblocks.oracle import jordan_type_of
 from jordanblocks.partitions import alpha_of
 from jordanblocks.rules import rule_case, so_2w1_rule, sp_w2_rule
+from helpers import form_square_type
 
 small_types = st.dictionaries(
     st.integers(min_value=1, max_value=9),
@@ -221,3 +224,44 @@ class TestSquareRules:
         piece = so_2w1_rule(sym2_type(t, p), t, ctx)
         assert piece + ext2_type(t, p) == adj
 
+
+
+class TestFormReferee:
+    """The Sp and SO answers against `helpers.form_square_type`, which builds
+    L(w_2) or L(2 w_1) from a u-invariant form and calls no rule: the checks
+    above compare the rules with each other, where their shared block
+    changes cancel."""
+
+    def test_every_type_of_the_small_groups(self):
+        cases, checked = set(), 0
+        for p in (3, 5, 7):
+            for kind, dims in (("Sp", (4, 6, 8)), ("SO", (5, 6, 7))):
+                for n in dims:
+                    ctx = GroupContext(kind, n, p)
+                    for t in partitions_of(n):
+                        if not validate_classical(t, ctx).ok:
+                            continue
+                        report = build_report(t, ctx)
+                        assert report.irreducible == form_square_type(t, p, kind == "Sp"), (kind, t, p)
+                        cases.add((kind, report.rule))
+                        checked += 1
+        assert checked == 126
+        assert cases == {(kind, case) for kind in ("Sp", "SO") for case in ("i", "ii", "iii-b")}
+
+    @pytest.mark.parametrize(
+        "kind, p, text, case",
+        [
+            ("SO", 3, "3^3", "iii-a"),
+            ("SO", 3, "9", "iii-b"),
+            ("Sp", 3, "3^6", "iii-a"),
+            ("Sp", 3, "6^3", "iii-a"),
+            ("Sp", 3, "3^2, 6^2", "iii-a"),
+            ("Sp", 3, "9^2", "iii-b"),
+            ("SO", 5, "5^5", "iii-a"),
+        ],
+    )
+    def test_cases_iii_a_and_iii_b(self, kind, p, text, case):
+        t = parse_jordan_type(text)
+        report = build_report(t, GroupContext(kind, t.dim, p))
+        assert report.rule == case
+        assert report.irreducible == form_square_type(t, p, kind == "Sp")
