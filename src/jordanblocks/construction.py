@@ -7,11 +7,13 @@ divides dim V) as one explicit matrix, the tests' whole-module referee.
 
 The SL verify route builds no matrix: it sums the module's ranks piece by
 piece, each V_r tensor V_s^* from the graded blocks of X^k on
-k[x, v]/(x^r, v^s), at most min(r, s) wide (d + 2 for End(V_d), which also
-counts the two invariants per block size that correct the diagonal part).
-X^k's block from degree d is the transpose of its block from
-r + s - 2 - k - d, so only the lower half is eliminated. The pieces of a
-type that are not memoized yet are eliminated together, in calls cut as
+k[x, v]/(x^r, v^s). X^k's block from degree d is the transpose of its
+block from r + s - 2 - k - d, so only the lower half is ranked, and each
+such block only by its defect: (1 + x)^k is a unit mod x^r, so what is
+eliminated is at most min(r, s) - 1 wide and holds no unit triangle. The
+two invariants per block size that correct the diagonal part are read off
+the series (1 + x)^-j with no elimination. The pieces of a type that are
+not memoized yet are eliminated together, in calls cut as
 `_eliminate_pieces` states. V tensor V*'s blocks are read off the sum and
 L's off the corrected sum: SL `--verify` checks `--rep tensor` and `irr`
 with these.
@@ -65,34 +67,40 @@ def build_adjoint_action(t: JordanType, p: int) -> PrimeFieldMatrix:
     return PrimeFieldMatrix(reduced[np.ix_(keep, keep)], p)
 
 
-# p -> windows over Pascal's rows mod p, as `_pascal_windows` reads them, as
-# tall and as wide as the tallest and the widest call at p so far; read-only.
-_pascal_memo: dict[int, np.ndarray] = {}
+# p -> windows over the series (1 + x)^j mod p, as `_series_windows` reads
+# them, as tall and as wide as the tallest and the widest call at p so far;
+# read-only.
+_series_memo: dict[int, np.ndarray] = {}
 
 
-def _pascal_windows(top: int, wide: int, p: int) -> np.ndarray:
-    """Windows of wide columns over Pascal's rows 0 to top mod p: row k's
-    window at wide + o holds C(k, c + o) at column c, 0 where c + o < 0,
-    for -wide < o < wide. The graded kernel reads its binomial rows here.
+def _series_windows(most: int, wide: int, p: int) -> np.ndarray:
+    """Windows of wide columns over the series (1 + x)^j mod p, -most <= j
+    <= most: window [most + j, o] holds [x^(o + t)](1 + x)^j at column t,
+    for o < wide and o + t < wide. That is C(j, c) for j >= 0 and
+    (-1)^c C(-j + c - 1, c) for j < 0, at c = o + t.
 
-    They are views of `_pascal_memo`'s windows at p, kept for the process:
-    each row of the table lies right of as many zeros as its windows are
-    wide, in three times that many columns, in `_echelon`'s dtype at p. A
-    call that fits them reads them; a taller or a wider one rebuilds them
-    to cover both.
+    They are views of `_series_memo`'s windows at p, kept for the process in
+    `_echelon`'s dtype at p. A call that fits them reads them; a taller or a
+    wider one rebuilds them to cover both, a column at a time: as
+    (1 + x)^j = (1 + x)^(j-1) + x (1 + x)^(j-1), column c is the sum of
+    column c - 1 over 0 <= i < j for j > 0, and minus its sum over
+    j <= i < 0 for j < 0, both the prefix sums less their value at j = 0.
     """
-    windows = _pascal_memo.get(p)
-    if windows is None or windows.shape[0] <= top or windows.shape[2] < wide:
-        rows = max(top + 1, 0 if windows is None else windows.shape[0])
-        most = max(wide, 0 if windows is None else windows.shape[2])
-        table = np.zeros((rows, 3 * most), dtype=_working_dtype(p, 2))
-        table[0, most] = 1
-        for row in range(1, rows):
-            np.add(table[row - 1, 1:], table[row - 1, :-1], out=table[row, 1:])
-            table[row] %= p
+    windows = _series_memo.get(p)
+    if windows is None or windows.shape[0] <= 2 * most or windows.shape[2] < wide:
+        height = max(most, 0 if windows is None else windows.shape[0] // 2)
+        cols = max(wide, 0 if windows is None else windows.shape[2])
+        table = np.zeros((2 * cols, 2 * height + 1), dtype=np.int64)  # transposed: row c is column c
+        table[0] = 1
+        for previous, column in zip(table, table[1:cols]):
+            previous[:-1].cumsum(out=column[1:])
+            column -= column[height]
+            column %= p
+        table = np.ascontiguousarray(table.T, dtype=_working_dtype(p, 2))
         table.flags.writeable = False
-        windows = _pascal_memo[p] = np.lib.stride_tricks.sliding_window_view(table, most, axis=1)
-    return windows[:, windows.shape[2] - wide :, :wide]
+        windows = _series_memo[p] = np.lib.stride_tricks.sliding_window_view(table, cols, axis=1)
+    centre = windows.shape[0] // 2
+    return windows[centre - most : centre + most + 1, :wide, :wide]
 
 
 # The byte budget of one `_echelon` call's rows (see `_eliminate_pieces`).
@@ -116,110 +124,111 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     down to the first 0 on V_r tensor V_s^*, and, when r == s = d, the
     invariants (h, c) of End(V_d); None when r != s.
 
-    Every kept block (piece, k, d) below is its own `_echelon` tag. The
-    blocks go through `_echelon` in tag order, cut between blocks into calls
-    of at most `_ECHELON_BYTES` of rows each (a larger block goes alone), as
-    `_echelon` holds about nine copies of them; each call builds only its
-    own rows, max r wide, plus 2 if a piece is diagonal. Pascal's rows are
-    kept per prime for the process, as tall and as wide as the largest
-    call at that prime so far (`_pascal_windows`).
-
     V_s^* is isomorphic to V_s as a k[u]-module, so X^k has the same ranks
     on V_r tensor V_s^* as on V_r tensor V_s = k[x, y]/(x^r, y^s). There
     X = u tensor u - 1 is multiplication by x + y + xy = x + v with
     v = y(1 + x). As 1 + x is a unit, the ring is also k[x, v]/(x^r, v^s),
-    graded by total degree, and X = x + v is homogeneous of degree 1:
-    X^k maps R_d = span{x^i v^(d-i)} into R_(d+k) by
-    x^i v^j -> sum_a C(k, a) x^(i+a) v^(j+k-a), truncated. So rank X^k is
-    the sum over d of the ranks of these binomial blocks. A block's columns
-    are the exponents c of x in R_(d+k), from its first, max(d + k - s + 1,
-    0), below r, so it is at most r = min(r, s) wide; shifting one tag's
-    columns keeps its rank, and the block that meets I (below) starts at 0.
-    Pairing x^i v^j with x^(r-1-i) v^(s-1-j) swaps R_d and R_(top-d), top =
-    r + s - 2, and both blocks read C(k, c - i), so block (k, d) is block
-    (k, top - k - d) transposed. Only blocks with 2d <= top - k are kept,
-    each counted twice but the middle one, 2d = top - k, and no r*s-wide
-    row is ever formed.
+    graded by total degree, and X = x + v is homogeneous of degree 1. Read
+    an element of degree d by its coefficients g(x) = sum g_i x^i at
+    x^i v^(d-i): X^k's block (k, d) takes g, of degree at most
+    a = min(d, r - 1), to g (1 + x)^k mod x^r, less its terms of degree
+    below f = max(d + k - s + 1, 0), whose power of v would reach s. So
+    rank X^k is the sum over d of the ranks of these blocks. Pairing
+    x^i v^j with x^(r-1-i) v^(s-1-j) swaps degrees d and top - d,
+    top = r + s - 2, and both blocks read C(k, c - i), so block (k, d) is
+    block (k, top - k - d) transposed. Only blocks with 2d <= top - k are
+    kept, each counted twice but the middle one, 2d = top - k; there d < s,
+    as r <= s.
+
+    (1 + x)^k is a unit mod x^r, so g (1 + x)^k has no term from f on
+    exactly when g lies in the span of x^i (1 + x)^-k, i < f: block (k, d)
+    has rank a + 1 - f + rank M, M the f x (r - 1 - a) defect matrix of the
+    terms of those series past degree a, M[i, c] = [x^(c-i)](1 + x)^-k for
+    a < c < r. A block with f = 0 or a = r - 1 has full rank and builds no
+    row. For k <= s, M goes through `_echelon`; for k > s, f > a + 1, so
+    the block itself, C(k, c - i) for f <= c < r, has fewer rows and goes
+    instead. Both read their rows from `_series_windows`, and at most
+    max r - 1 columns. Each such block is its own `_echelon` tag; they go
+    through `_echelon` in tag order, cut between blocks into calls of at
+    most `_ECHELON_BYTES` of rows each (a larger block goes alone), as
+    `_echelon` holds about nine copies of them.
 
     On End(V_d), with eps the trace, h = max{k : I in im X^k} and c = eps(w)
     for any w with X^h(w) = I. X(A) = [N, A] u^-1 with N = u - 1, so
     X^k(w) = I exactly when D^k(w u^-k) = I, D = ad N. In the basis
     (-1)^j E_ij, read as x^j v^(d-1-i), D is multiplication by x + v, so
-    the same blocks serve: I has degree d - 1 and coordinates
-    sign = ((-1)^i), and the source w' = x^i v^(d-1-k-i) of block
-    (k, d - 1 - k) has eps(w' u^k) = sign[i]. That block's rows carry
-    (image, eps, 0), and it gets a probe (I, 0, 1) for each 1 <= k < d.
-    While I is in im X^k, eps kills ker X^k (the trace pairing is
-    u-invariant), so the block holds a row (0, e, m), m != 0, and
-    c = -e / m; a probe that finds no preimage is left out of its block's
-    rank. With no such row, h = 0 and X^0 = 1 gives (0, -tr I, 1).
+    the same blocks serve: I has degree d - 1 and g = (1 + x)^-1, and the
+    block (k, d - 1 - k) onto it has f = 0, so it is injective. So I is in
+    im X^k exactly when (1 + x)^-(k+1) has no term in degrees d - k to
+    d - 1, and then its terms below x^(d-k) are the one preimage; as the
+    source x^i v^(d-1-k-i) has eps(x^i v^(d-1-k-i) u^k) = (-1)^i,
+    c = sum over i <= d - 1 - h of (-1)^i [x^i](1 + x)^-(h+1). Neither
+    needs an elimination (`_invariants`).
     """
     if not keys:
         return []
     dtype = _working_dtype(p, 2)  # refuses a too-large p before any arithmetic
     r, s = np.array(keys).T
     top = r + s - 2  # highest degree, so X^(top+1) = 0
-    diagonal = r == s
-    wide = int(r.max())
-    width = wide + 2 * int(diagonal.any())
+    centre, wide = int(top.max()) + 1, int(r.max())
+    width = max(wide - 1, 1)  # with wide = 1 no block has a row
     most = _ECHELON_BYTES // (width * np.dtype(dtype).itemsize)  # rows one call may take
     # every block (piece, k, d) with 1 <= k <= top and 2d <= top - k, in tag
     # order, and the power (piece, k) that it is a block of
     piece, k = _ragged(top)
-    power, d = _ragged((top[piece] - k - 1) // 2 + 1)
+    power, d = _ragged((top[piece] - k + 1) // 2)
     piece, k = piece[power], k[power] + 1
-    # the sources x^i v^(d-i), i <= min(d, r - 1): as r <= s, 2d < top gives d < s
-    sources = np.minimum(d, r[piece] - 1) + 1
-    probe = diagonal[piece] & (d + k == r[piece] - 1)  # the block maps onto I
-    ends = np.concatenate(([0], (sources + probe).cumsum()))  # rows before each block
-    # the exponent of v, d + k - c, stays below s, and that of x below r
+    # 2d <= top - k gives f <= r - 1 - d, so f = 0 unless a = d
     first = np.maximum(d + k - s[piece] + 1, 0)
-    span = r[piece] - first
-    windows = _pascal_windows(int(top.max()), wide, p)
-    column = np.arange(wide)
-    keep = (column < np.arange(wide + 1)[:, None]).astype(dtype)  # row n: ones in n columns
-    sign = np.where(column & 1, p - 1, 1)
-    rank = np.zeros(k.size, dtype=np.intp)
-    h = np.zeros(r.size, dtype=np.intp)
-    c = r % p  # with no row (0, e, m), h = 0 and X^0 = 1 gives (0, -tr I, 1)
+    defect = k <= s[piece]
+    rank = defect * (np.minimum(d + 1, r[piece]) - first)
+    # the blocks with rows: M's f or the block's d + 1, row i of which reads
+    # series (1 + x)^-k or (1 + x)^k from column lead - i, span columns
+    rows = np.where(defect, first, d + 1)
+    blocks = rows.nonzero()[0]
+    lead = np.where(defect, d + 1, first)[blocks]
+    span = r[piece[blocks]] - lead
+    series = centre + np.where(defect, -k, k)[blocks]
+    rows = rows[blocks]
+    ends = np.concatenate(([0], rows.cumsum()))  # rows before each block
+    windows = _series_windows(centre, wide, p)
+    keep = (np.arange(width) < np.arange(width + 1)[:, None]).astype(dtype)  # row n: ones in n columns
     start = 0
-    while start < k.size:
+    while start < blocks.size:
         # the most blocks from start whose rows fit the budget, and at least one
         stop = max(int(ends.searchsorted(ends[start] + most, "right")) - 1, start + 1)
-        owner, i = _ragged(sources[start:stop])
+        owner, i = _ragged(rows[start:stop])
         at = start + owner
-        probes = probe[start:stop].nonzero()[0]
-        work = np.zeros((at.size + probes.size, width), dtype=dtype)
-        image = work[: at.size, :wide]
-        np.multiply(windows[k[at], wide + first[at] - i], keep.take(span[at], axis=0), out=image)
-        if probes.size:
-            work[: at.size, -2] = np.where(probe[at], sign[i], 0)
-            work[at.size :, :wide] = keep.take(r[piece[start + probes]], axis=0) * sign
-            work[at.size :, -1] = 1
-        basis, pivots = _echelon(work, p, np.concatenate([owner, probes]))
-        tags, in_image = pivots // width, pivots % width < wide  # rows (0, e, m) count in no rank
-        member = ~in_image & (basis[:, -1] != 0)  # the probe's I has a preimage
-        rank[start:stop] = np.bincount(tags[in_image], minlength=stop - start)
-        rank[start:stop] -= probe[start:stop] & (np.bincount(tags[member], minlength=stop - start) == 0)
-        # a piece's blocks come in order of k, the last at h
-        for b, e, m in sorted(zip((start + tags[member]).tolist(), *basis[member, -2:].T.tolist())):
-            h[piece[b]], c[piece[b]] = k[b], -e * pow(m, -1, p) % p
+        work = windows[series[at], lead[at] - i, :width] * keep.take(span[at], axis=0)
+        _, pivots = _echelon(work, p, owner)
+        rank[blocks[start:stop]] += np.bincount(pivots // width, minlength=stop - start)
         start = stop
 
     # rank X^k for each power (piece, k), k >= 1, in order: each block but
     # the middle one, 2d = top - k, counts twice for its mirror
     power_ranks = np.bincount(power, rank * (1 + (2 * d + k < top[piece]))).astype(np.intp).tolist()
+    z = windows[centre - wide : centre, 0][::-1].tolist()  # row k: (1 + x)^-(k+1) below x^wide
     out, done = [], 0
-    for rb, sb, tb, hb, cb in zip(r.tolist(), s.tolist(), top.tolist(), h.tolist(), c.tolist()):
+    for rb, sb, tb in zip(r.tolist(), s.tolist(), top.tolist()):
         ranks = [rb * sb, *power_ranks[done : done + tb], 0]
-        out.append((tuple(ranks[: ranks.index(0) + 1]), (hb, cb) if rb == sb else None))
+        out.append((tuple(ranks[: ranks.index(0) + 1]), _invariants(z, rb, p) if rb == sb else None))
         done += tb
     return out
 
 
+def _invariants(z: list[list[int]], d: int, p: int) -> tuple[int, int]:
+    """(h, c) of End(V_d), z[k] the terms of (1 + x)^-(k+1) mod p at least
+    below x^d (see `_eliminate_pieces`): I is in im X^k exactly when z[k]
+    has no term in degrees d - k to d - 1, and c is the trace of the
+    preimage z[h] below x^(d-h), the sum of (-1)^i z[h][i] (Python ints,
+    so no sum overflows)."""
+    h = max(k for k in range(d) if not any(z[k][d - k : d]))
+    return h, (sum(z[h][: d - h : 2]) - sum(z[h][1 : d - h : 2])) % p
+
+
 def _split_adjoint_type(t: JordanType, p: int) -> tuple[JordanType, JordanType]:
     """Jordan types of u on V tensor V* and on the adjoint module L, summand
-    by summand, with no elimination wider than max d + 2 columns.
+    by summand, with no elimination wider than max d - 1 columns.
 
     V tensor V* is the sum of the u-invariant pieces V_a tensor V_b^* over
     ordered pairs of blocks, so its ranks of X^k are sums of the pieces'
@@ -242,8 +251,8 @@ def _split_adjoint_type(t: JordanType, p: int) -> tuple[JordanType, JordanType]:
     and L's blocks are read off this sequence, V tensor V*'s off the sum.
 
     This is a second derivation, not a copy of a rule: h_d and c_d are
-    counted by elimination, and no rule, no tensor-pair engine and no
-    recursion is used. It follows the module theory of the paper's proof,
+    read off the series (1 + x)^-(k+1) that the graded blocks use, and no
+    rule, no tensor-pair engine and no recursion is used. It follows the module theory of the paper's proof,
     where the delta_beta vectors certify I in im X^(p^beta - 1); the tests
     hold (h_d, c_d) to (p^nu - 1, d / p^nu mod p), nu = nu_p(d), and the
     whole route to `build_adjoint_action`. t and p are those of a valid SL

@@ -16,7 +16,8 @@ Ranks are counted only for an explicit matrix (`jordan_type_of`) and for
 prime, p = 2 included. For a matrix, `_rank_chain` carries a row basis of
 the row space of X^k, X = u - 1, along, multiplies it by X and echelonizes
 it once per step. `--verify` ranks the pieces V_r tensor V_s^* in
-`construction`, many small problems per call under `_echelon`'s tags. All
+`construction` by the defect matrices of their graded blocks, many small
+problems per call under `_echelon`'s tags. All
 arithmetic is integer, in the narrowest dtype (int8 to int64) that
 `linalg._working_dtype` picks for the elimination's bound at p; a prime
 too large for int64 is refused.

@@ -75,8 +75,8 @@ def _verify(
     `printed` is the module `decompose` shows (tensor, ext2 or sym2; none for
     irr). It stands in its slot, the report's carrier in the group's own.
     - SL tensor or irr: `construction._split_adjoint_type` recomputes both from
-      memoized graded eliminations at most min(r, s) wide per piece V_r tensor
-      V_s^*, and d + 2 wide for End(V_d); no tensor-pair closed form.
+      memoized graded eliminations at most min(r, s) - 1 wide per piece
+      V_r tensor V_s^*; no tensor-pair closed form.
     - Sp/SO any rep, SL ext2 or sym2 at odd p: ext2 + sym2 == tensor, as
       ∧²V ⊕ S²V = V ⊗ V ≅ V ⊗ V*, the missing modules computed under
       max_entries; for Sp/SO irr, rule(carrier) + other == adjoint_rule(tensor)

@@ -7,7 +7,7 @@ eliminate), a dense matrix for the shifted tensor action, a cold start for every
 `construction` and `oracle`, the graded elimination engine of
 `construction` unmemoized and in either factor order (the referee of every
 closed form; the oracle itself eliminates no pair), binomials mod p by
-Lucas's theorem (the referee of the engine's Pascal rows), the power of p
+Lucas's theorem (the referee of the engine's series rows), the power of p
 that the reflection fold folds across, the ungraded rank chain for
 J_m (x) J_n that the graded engine is tested against, the chained
 elimination over End(V_d) that the graded per-size invariants are tested
@@ -121,14 +121,14 @@ def tensor_x_matrix(t: JordanType, p: int) -> np.ndarray:
 def clear_memos() -> None:
     """Empty every `lru_cache` of `construction` and `oracle`, found by its
     cache_clear, the piece memo `construction._piece_memo` and the kept
-    Pascal rows `construction._pascal_memo`, so that a test starts cold
+    series table `construction._series_memo`, so that a test starts cold
     whichever memos they hold."""
     for module in (construction, oracle):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
     construction._piece_memo.clear()
-    construction._pascal_memo.clear()
+    construction._series_memo.clear()
 
 
 def graded_engine(m: int, n: int, p: int) -> JordanType:
@@ -149,7 +149,8 @@ def graded_engine(m: int, n: int, p: int) -> JordanType:
 
 def binom_mod_p(a: int, b: int, p: int) -> int:
     """(a choose b) mod p by Lucas's theorem, digit by digit in base p; 0
-    whenever a < b. The referee of the Pascal rows the graded kernel builds.
+    whenever a < b. The referee of the series (1 + x)^j the graded kernel
+    builds.
 
     Never forms a factorial: each base-p digit pair contributes its own small
     binomial, and any digit of a falling below the matching digit of b kills

@@ -204,7 +204,7 @@ def test_clear_memos_leaves_every_memo_cold():
 
     def sizes():
         memos = (oracle._tensor_block_type, oracle._square_single)
-        kept = (construction._piece_memo, construction._pascal_memo)
+        kept = (construction._piece_memo, construction._series_memo)
         return [memo.cache_info().currsize for memo in memos] + [len(memo) for memo in kept]
 
     assert all(sizes())
@@ -274,9 +274,9 @@ class TestVerifyMemory:
         assert peak < 8_000_000
 
     def test_the_per_size_invariants_stay_small(self):
-        # End(V_40) is 1600-dimensional; its piece ranks and invariants come
-        # from 21 359 graded rows 42 wide, cut between blocks into two calls
-        # under the byte budget
+        # End(V_40) is 1600-dimensional; its piece ranks come from 5 530
+        # defect rows 39 wide in one call, and its invariants from no
+        # elimination
         helpers.clear_memos()
         tracemalloc.start()
         try:
@@ -287,9 +287,9 @@ class TestVerifyMemory:
         assert peak < 12_000_000
 
     def test_batched_pieces_stay_within_the_budget(self):
-        # the 15 pieces of 36, ..., 40 hold 15 575 to 21 359 rows each; the
-        # calls are cut between blocks under the byte budget, where one call
-        # on all of them peaks near 120 MB
+        # the 15 pieces of 36, ..., 40 hold 4 047 to 5 530 defect rows each,
+        # 67 831 in all; the calls are cut between blocks under the byte
+        # budget, where one call on all their graded rows peaked near 120 MB
         helpers.clear_memos()
         tracemalloc.start()
         try:
@@ -300,8 +300,8 @@ class TestVerifyMemory:
         assert peak < 12_000_000
 
     def test_a_large_diagonal_piece_stays_small(self):
-        # End(V_100) puts 333 399 graded rows 102 wide through `_echelon`;
-        # one call on all of them peaks near 256 MB
+        # End(V_100) puts 84 575 defect rows 99 wide through `_echelon`;
+        # one call on all of its 333 399 kept graded rows peaked near 256 MB
         helpers.clear_memos()
         tracemalloc.start()
         try:
@@ -312,42 +312,52 @@ class TestVerifyMemory:
         assert peak < 12_000_000
 
 
+def series_mod_p(j: int, m: int, p: int) -> int:
+    """[x^m](1 + x)^j mod p by Lucas: C(j, m) for j >= 0, and
+    (-1)^m C(-j + m - 1, m) for j < 0."""
+    if j >= 0:
+        return binom_mod_p(j, m, p)
+    return (-1) ** m * binom_mod_p(-j + m - 1, m, p) % p
+
+
 class TestBinomialRows:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 10007])
-    def test_pascal_rows_match_lucas(self, p):
-        # every power a piece 61 wide reaches, 0 to 120, at every offset, read
-        # from a table built for 17 columns, from the one a 61-wide call
-        # rebuilds it to, and from that kept table by a 17-wide call again
+    def test_series_rows_match_lucas(self, p):
+        # every order a piece 61 wide reaches, -120 to 120, at every offset
+        # and column, read from a table built for 17 columns, from the one a
+        # 61-wide call rebuilds it to, and from that kept table by a 17-wide
+        # call again
         helpers.clear_memos()
-        lucas = np.array([[binom_mod_p(a, b, p) for b in range(121)] for a in range(121)])
+        lucas = {j: [series_mod_p(j, m, p) for m in range(121)] for j in range(-120, 121)}
         for width in (17, 61, 17):
-            k, offset = (a.ravel() for a in np.mgrid[: 2 * width - 1, 1 - width : width])
-            windows = construction._pascal_windows(2 * width - 2, width, p)
-            got = windows[k, width + offset]
-            below = np.arange(width) + offset[:, None]  # C(k, c + offset) at column c
-            want = np.where(below >= 0, lucas[k[:, None], np.maximum(below, 0)], 0)
-            assert np.array_equal(got, want), width
-        assert construction._pascal_memo[p].shape[0] == 121
+            most = 2 * width - 2
+            j, offset, column = (a.ravel() for a in np.mgrid[-most : most + 1, :width, :width])
+            windows = construction._series_windows(most, width, p)
+            inside = offset + column < width  # the windows' promise
+            got = windows[most + j, offset, column][inside]
+            want = [lucas[a][b] for a, b in zip(j[inside].tolist(), (offset + column)[inside].tolist())]
+            assert got.tolist() == want, width
+        assert construction._series_memo[p].shape[0] == 2 * 120 + 1
 
     def test_the_kept_table_is_read_only(self):
         helpers.clear_memos()
-        windows = construction._pascal_windows(10, 6, 3)
-        kept = construction._pascal_memo[3]
+        windows = construction._series_windows(10, 6, 3)
+        kept = construction._series_memo[3]
         assert not windows.flags.writeable
         assert not kept.flags.writeable
         with pytest.raises(ValueError):
-            windows[1, 6, 0] = 2
+            windows[1, 3, 0] = 2
 
-    def test_cold_calls_at_one_prime_build_pascal_rows_once(self):
+    def test_cold_calls_at_one_prime_build_the_series_once(self):
         # the second call is shorter and narrower than the first, so it reads
-        # the rows the first one kept; another prime builds its own
+        # the series the first one kept; another prime builds its own
         helpers.clear_memos()
         first = construction._eliminate_pieces([(5, 7), (7, 7)], 3)
-        kept = construction._pascal_memo[3]
+        kept = construction._series_memo[3]
         second = construction._eliminate_pieces([(2, 4), (4, 6), (6, 6)], 3)
-        assert construction._pascal_memo[3] is kept
+        assert construction._series_memo[3] is kept
         construction._eliminate_pieces([(2, 4)], 5)
-        assert construction._pascal_memo[3] is kept and set(construction._pascal_memo) == {3, 5}
+        assert construction._series_memo[3] is kept and set(construction._series_memo) == {3, 5}
         # and reads what a cold process would
         helpers.clear_memos()
         assert construction._eliminate_pieces([(2, 4), (4, 6), (6, 6)], 3) == second
@@ -362,13 +372,33 @@ def graded_block(r: int, s: int, k: int, d: int, p: int) -> np.ndarray:
     return np.array([[binom_mod_p(k, c - i, p) if c >= i else 0 for c in cols] for i in rows])
 
 
-def kept_rows(r: int, s: int) -> int:
-    """Rows of the blocks (k, d) with 2d <= top - k, k >= 1, plus the r - 1
-    invariant probes of a diagonal piece."""
+def kept_blocks(r: int, s: int):
+    """(k, d, a, f) for every kept block of V_r tensor V_s^*, r <= s: k >= 1,
+    2d <= top - k, sources of degree at most a = min(d, r - 1), and the
+    terms below f = max(d + k - s + 1, 0) dropped."""
     top = r + s - 2
-    degrees = [i + j for i in range(r) for j in range(s)]
-    kept = sum(2 * d <= top - k for k in range(1, top + 1) for d in degrees)
-    return kept + (r - 1) * (r == s)
+    for k in range(1, top + 1):
+        for d in range(0, (top - k) // 2 + 1):
+            yield k, d, min(d, r - 1), max(d + k - s + 1, 0)
+
+
+def defect_rows(r: int, s: int) -> int:
+    """Rows the kept blocks put through `_echelon`: none for a block with
+    f = 0 or a = r - 1, else f rows of the defect matrix for k <= s and the
+    block's own a + 1 rows for k > s."""
+    return sum(
+        0 if f == 0 or a == r - 1 else f if k <= s else a + 1
+        for k, d, a, f in kept_blocks(r, s)
+    )
+
+
+def defect_matrix(r: int, k: int, a: int, f: int, p: int) -> np.ndarray:
+    """M[i, c] = [x^(c-i)](1 + x)^-k = (-1)^(c-i) C(k + c - i - 1, c - i)
+    mod p, 0 for c < i, for 0 <= i < f and a < c < r."""
+    return np.array(
+        [[series_mod_p(-k, c - i, p) if c >= i else 0 for c in range(a + 1, r)] for i in range(f)],
+        dtype=np.int64,
+    ).reshape(f, r - 1 - a)
 
 
 class TestGradedDuality:
@@ -386,12 +416,26 @@ class TestGradedDuality:
                         assert np.array_equal(mirror, block[::-1, ::-1].T), (r, s, k, d)
                         assert len(rref(block, p)[1]) == len(rref(mirror, p)[1]), (r, s, k, d)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a_block_has_rank_a_plus_1_minus_f_plus_its_defect(self, p):
+        # (1 + x)^k is a unit mod x^r, so block (k, d) loses rank only where
+        # x^i (1 + x)^-k, i < f, meets the sources; both ranked by rref, not
+        # by the `_echelon` under test, over every kept block (13 192 in all)
+        for s in range(1, 13):
+            for r in range(1, s + 1):
+                for k, d, a, f in kept_blocks(r, s):
+                    block = graded_block(r, s, k, d, p)
+                    assert block.shape[0] == a + 1, (r, s, k, d)
+                    defect = len(rref(defect_matrix(r, k, a, f, p), p)[1])
+                    assert len(rref(block, p)[1]) == a + 1 - f + defect, (r, s, k, d)
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_pieces_eliminate_only_the_kept_half(self, echelon_rows, p):
-        # all blocks would be 13 271 rows for (24, 24) and 1 794 for (12, 13)
+        # all blocks would be 13 271 rows for (24, 24) and 1 794 for (12, 13),
+        # the kept half 4 623 and 650; ranked by their defects they are
         one_piece(24, 24, p)
         one_piece(12, 13, p)
-        assert echelon_rows == [kept_rows(24, 24), kept_rows(12, 13)] == [4623, 650]
+        assert echelon_rows == [defect_rows(24, 24), defect_rows(12, 13)] == [1222, 161]
 
 
 class TestSplitRoute:
@@ -408,19 +452,19 @@ class TestSplitRoute:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_pieces_eliminate_at_most_min_r_s_wide(self, echelon_widths, p):
         # V_12 tensor V_12^* is 144-dimensional and V_12 tensor V_13^* is
-        # 156-dimensional, but their graded blocks are at most 12 wide; the
-        # diagonal piece adds the two columns of its invariant problem
+        # 156-dimensional, but the defects of their graded blocks are at most
+        # 11 wide; the diagonal piece's invariants add no column
         one_piece(12, 13, p)
-        assert len(echelon_widths) == 1 and echelon_widths[0] <= 12, echelon_widths
+        assert len(echelon_widths) == 1 and echelon_widths[0] <= 11, echelon_widths
         one_piece(12, 12, p)
-        assert len(echelon_widths) == 2 and echelon_widths[1] <= 14, echelon_widths
+        assert len(echelon_widths) == 2 and echelon_widths[1] <= 11, echelon_widths
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-    def test_diagonal_invariants_eliminate_once_at_most_d_plus_2_wide(self, echelon_widths, p):
-        # End(V_24) is 576-dimensional, but its ranks and invariants come
-        # from one call on rows 26 wide
+    def test_a_diagonal_piece_eliminates_once_at_most_d_minus_1_wide(self, echelon_widths, p):
+        # End(V_24) is 576-dimensional, but its ranks come from one call on
+        # rows 23 wide, and its invariants from no elimination
         one_piece(24, 24, p)
-        assert len(echelon_widths) == 1 and echelon_widths[0] <= 26, echelon_widths
+        assert len(echelon_widths) == 1 and echelon_widths[0] <= 23, echelon_widths
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_diagonal_invariants_match_the_chained_elimination(self, p):
@@ -435,6 +479,21 @@ class TestSplitRoute:
         for d in range(1, 41):
             q = p ** nu_p(d, p)
             assert one_piece(d, d, p)[1] == (q - 1, d // q % p), d
+
+    def test_the_widest_prime_gives_clebsch_gordan(self):
+        # 2^31 - 1 is the largest prime whose elimination int64 holds (the
+        # next, 2^31 + 11, is refused); every piece r <= s <= 24 is below the
+        # characteristic there, and End(V_d) has h = 0 and c = d, so no sum
+        # along the route may overflow
+        p = 2**31 - 1
+        assert construction._working_dtype(p, 2) is np.int64
+        with pytest.raises(ValueError, match="too large"):
+            construction._working_dtype(2**31 + 11, 2)
+        for s in range(1, 25):
+            for r in range(1, s + 1):
+                ranks, invariants = one_piece(r, s, p)
+                assert oracle._blocks_from_ranks(ranks) == recursions.clebsch_gordan(r, s), (r, s)
+                assert invariants == ((0, r % p) if r == s else None), (r, s)
 
     def test_wide_dtype_prime_agrees_with_the_whole_module(self):
         p = 1_000_003
@@ -481,17 +540,18 @@ class TestBatchedPieces:
     PIECES = [(r, s) for s in range(1, 17) for r in range(1, s + 1)]
 
     def test_a_piece_eliminates_exactly_its_kept_rows(self, echelon_rows):
-        # summed over however many calls the budget cuts it into
+        # its defect rows, summed over however many calls the budget cuts it
+        # into
         for s in range(1, 25):
             for r in range(1, s + 1):
                 echelon_rows.clear()
                 one_piece(r, s, 2)
-                assert sum(echelon_rows) == kept_rows(r, s), (r, s)
+                assert sum(echelon_rows) == defect_rows(r, s), (r, s)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_a_cold_item_eliminates_once(self, monkeypatch, p):
         # the 21 pieces V_r tensor V_s^*, r <= s, of 1, 2, 3, 5, 7, 12 share
-        # one call, 12 wide and 2 more for the diagonal pieces' invariants
+        # one call, 11 wide, as the diagonal pieces' invariants add no column
         calls = watch_echelon(monkeypatch, lambda work: work.shape)
         t = JordanType({1: 1, 2: 1, 3: 1, 5: 1, 7: 1, 12: 1})
         sizes = [d for d, _ in t]
@@ -499,7 +559,7 @@ class TestBatchedPieces:
         assert len(pieces) == 21
         helpers.clear_memos()
         construction._split_adjoint_type(t, p)
-        assert calls == [(sum(kept_rows(r, s) for r, s in pieces), 12 + 2)]
+        assert calls == [(sum(defect_rows(r, s) for r, s in pieces), 12 - 1)]
         construction._split_adjoint_type(t, p)  # warm: every piece is memoized
         assert len(calls) == 1
 
@@ -515,25 +575,26 @@ class TestBatchedPieces:
             keys = rng.sample(diagonal, rng.randint(1, 5)) + rng.sample(other, rng.randint(1, 30))
             rng.shuffle(keys)
             assert construction._eliminate_pieces(keys, p) == [alone[key] for key in keys], keys
-        keys = rng.sample(self.PIECES, len(self.PIECES))  # 38 616 rows, cut by the budget
+        keys = rng.sample(self.PIECES, len(self.PIECES))  # 6 672 defect rows in one call
         assert construction._eliminate_pieces(keys, p) == [alone[key] for key in keys]
 
     def test_the_byte_budget_cuts_a_batch(self, monkeypatch):
-        # the pieces r <= s <= 16 hold 38 616 rows and (24, 24) 4 623, all
-        # 26 wide: int8 at p = 2 and 5, int32 at p = 10007
+        # the pieces r <= s <= 16 hold 6 672 defect rows, (24, 24) 1 222 and
+        # (60, 60) 18 445, all 59 wide: int8 at p = 2 and 5, int32 at
+        # p = 10007
         calls = watch_echelon(monkeypatch, lambda work: (work.nbytes, work.shape[0]))
-        keys = self.PIECES + [(24, 24)]
+        keys = self.PIECES + [(24, 24), (60, 60)]
         counts = {}
         for p in (2, 5, 10007):
             calls.clear()
             construction._eliminate_pieces(keys, p)
             assert all(nbytes <= construction._ECHELON_BYTES for nbytes, _ in calls), (p, calls)
-            assert sum(rows for _, rows in calls) == sum(map(kept_rows, *zip(*keys))), p
+            assert sum(rows for _, rows in calls) == sum(map(defect_rows, *zip(*keys))), p
             assert len(calls) > 1, p
             counts[p] = len(calls)
         assert counts[10007] > counts[2], counts
 
-    def test_a_batch_is_max_r_wide_and_two_more_with_a_diagonal_piece(self, echelon_widths):
+    def test_a_batch_is_max_r_minus_1_wide_with_or_without_a_diagonal_piece(self, echelon_widths):
         construction._eliminate_pieces([(2, 9), (5, 7), (3, 3)], 3)
         construction._eliminate_pieces([(2, 9), (5, 7)], 3)
-        assert echelon_widths == [5 + 2, 5]
+        assert echelon_widths == [5 - 1, 5 - 1]
