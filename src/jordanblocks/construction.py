@@ -8,18 +8,22 @@ divides dim V) as one explicit matrix, the tests' whole-module referee.
 The SL verify route builds no matrix: it sums the module's ranks piece by
 piece, each V_r tensor V_s^* from the graded blocks of X^k on
 k[x, v]/(x^r, v^s). X^k's block from degree d is the transpose of its
-block from r + s - 2 - k - d, so only the lower half is ranked, and each
-such block only by its defect: (1 + x)^k is a unit mod x^r, so what is
-eliminated is at most min(r, s) - 1 wide and holds no unit triangle. The
-two invariants per block size that correct the diagonal part are read off
-the series (1 + x)^-j with no elimination. The pieces of a type that are
-not memoized yet are eliminated together, in calls cut as
+block from r + s - 2 - k - d, and over the n = r + s - 1 - k degrees its
+ranks form a tent capped by the middle block's rank c, so
+rank X^k = c(n + 1 - c) and only the middle block is ranked, by its
+defect: (1 + x)^k is a unit mod x^r, so what is eliminated is at most
+min(r, s) - 1 wide and holds no unit triangle. The two invariants per
+block size that correct the diagonal part are read off the series
+(1 + x)^-j and one binomial, with no elimination. The pieces of a type
+that are not memoized yet are eliminated together, in calls cut as
 `_eliminate_pieces` states. V tensor V*'s blocks are read off the sum and
 L's off the corrected sum: SL `--verify` checks `--rep tensor` and `irr`
 with these.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -136,22 +140,31 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     rank X^k is the sum over d of the ranks of these blocks. Pairing
     x^i v^j with x^(r-1-i) v^(s-1-j) swaps degrees d and top - d,
     top = r + s - 2, and both blocks read C(k, c - i), so block (k, d) is
-    block (k, top - k - d) transposed. Only blocks with 2d <= top - k are
-    kept, each counted twice but the middle one, 2d = top - k; there d < s,
-    as r <= s.
+    block (k, top - k - d) transposed. So the middle block,
+    d = floor((top - k) / 2), fixes rank X^k: with n = top + 1 - k degrees
+    and c that block's rank, block (k, d) has rank min(d + 1, n - d, r, c)
+    at every d < n, a tent that sums to c(n + 1 - c). There d < s, as
+    r <= s.
 
     (1 + x)^k is a unit mod x^r, so g (1 + x)^k has no term from f on
     exactly when g lies in the span of x^i (1 + x)^-k, i < f: block (k, d)
     has rank a + 1 - f + rank M, M the f x (r - 1 - a) defect matrix of the
     terms of those series past degree a, M[i, c] = [x^(c-i)](1 + x)^-k for
-    a < c < r. A block with f = 0 or a = r - 1 has full rank and builds no
-    row. For k <= s, M goes through `_echelon`; for k > s, f > a + 1, so
-    the block itself, C(k, c - i) for f <= c < r, has fewer rows and goes
-    instead. Both read their rows from `_series_windows`, and at most
-    max r - 1 columns. Each such block is its own `_echelon` tag; they go
-    through `_echelon` in tag order, cut between blocks into calls of at
-    most `_ECHELON_BYTES` of rows each (a larger block goes alone), as
-    `_echelon` holds about nine copies of them.
+    a < c < r. For k > s, f > a + 1, and the block itself, C(k, c - i) for
+    f <= c < r, has fewer rows. For a fixed k, M (k <= s) or the block
+    (k > s) reads one window of (1 + x)^-k or (1 + x)^k, its terms
+    |k - s| + 1 to r - 1, in shapes m x (L + 1 - m), L the window's length;
+    such Toeplitz matrices have rank min(m, L + 1 - m, rho), whence the
+    tent (the tests hold it to every block's rank for r <= s <= 12). A
+    middle block with f = 0 or a = r - 1 has full rank and builds no row.
+    Else M goes through `_echelon` for k <= s, not the block, whose rows
+    i >= f form a unit staircase that `_echelon`'s rounds would walk down,
+    and the block itself for k > s. Both read their rows from
+    `_series_windows`, and at most max r - 1 columns. Each power's middle
+    block is its own `_echelon` tag; they go through `_echelon` in tag
+    order, cut between blocks into calls of at most `_ECHELON_BYTES` of
+    rows each (a larger block goes alone), as `_echelon` holds about nine
+    copies of them.
 
     On End(V_d), with eps the trace, h = max{k : I in im X^k} and c = eps(w)
     for any w with X^h(w) = I. X(A) = [N, A] u^-1 with N = u - 1, so
@@ -162,8 +175,8 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     im X^k exactly when (1 + x)^-(k+1) has no term in degrees d - k to
     d - 1, and then its terms below x^(d-k) are the one preimage; as the
     source x^i v^(d-1-k-i) has eps(x^i v^(d-1-k-i) u^k) = (-1)^i,
-    c = sum over i <= d - 1 - h of (-1)^i [x^i](1 + x)^-(h+1). Neither
-    needs an elimination (`_invariants`).
+    c = sum over i <= d - 1 - h of (-1)^i [x^i](1 + x)^-(h+1) = C(d, h + 1).
+    Neither needs an elimination (`_invariants`).
     """
     if not keys:
         return []
@@ -173,11 +186,11 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     centre, wide = int(top.max()) + 1, int(r.max())
     width = max(wide - 1, 1)  # with wide = 1 no block has a row
     most = _ECHELON_BYTES // (width * np.dtype(dtype).itemsize)  # rows one call may take
-    # every block (piece, k, d) with 1 <= k <= top and 2d <= top - k, in tag
-    # order, and the power (piece, k) that it is a block of
+    # every power (piece, k), 1 <= k <= top, in tag order, and its middle
+    # block d, 2d = top - k or top - k - 1
     piece, k = _ragged(top)
-    power, d = _ragged((top[piece] - k + 1) // 2)
-    piece, k = piece[power], k[power] + 1
+    k += 1
+    d = (top[piece] - k) // 2
     # 2d <= top - k gives f <= r - 1 - d, so f = 0 unless a = d
     first = np.maximum(d + k - s[piece] + 1, 0)
     defect = k <= s[piece]
@@ -204,9 +217,9 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
         rank[blocks[start:stop]] += np.bincount(pivots // width, minlength=stop - start)
         start = stop
 
-    # rank X^k for each power (piece, k), k >= 1, in order: each block but
-    # the middle one, 2d = top - k, counts twice for its mirror
-    power_ranks = np.bincount(power, rank * (1 + (2 * d + k < top[piece]))).astype(np.intp).tolist()
+    # rank X^k = c(n + 1 - c) for each power (piece, k), k >= 1, in order,
+    # c its middle block's rank and n = top + 1 - k
+    power_ranks = (rank * (top[piece] + 2 - k - rank)).tolist()
     z = windows[centre - wide : centre, 0][::-1].tolist()  # row k: (1 + x)^-(k+1) below x^wide
     out, done = [], 0
     for rb, sb, tb in zip(r.tolist(), s.tolist(), top.tolist()):
@@ -220,10 +233,11 @@ def _invariants(z: list[list[int]], d: int, p: int) -> tuple[int, int]:
     """(h, c) of End(V_d), z[k] the terms of (1 + x)^-(k+1) mod p at least
     below x^d (see `_eliminate_pieces`): I is in im X^k exactly when z[k]
     has no term in degrees d - k to d - 1, and c is the trace of the
-    preimage z[h] below x^(d-h), the sum of (-1)^i z[h][i] (Python ints,
-    so no sum overflows)."""
+    preimage z[h] below x^(d-h), the sum of (-1)^i z[h][i]. As
+    (-1)^i [x^i](1 + x)^-(h+1) = C(h + i, i), the hockey-stick identity
+    sums it over i <= d - 1 - h to C(d, h + 1)."""
     h = max(k for k in range(d) if not any(z[k][d - k : d]))
-    return h, (sum(z[h][: d - h : 2]) - sum(z[h][1 : d - h : 2])) % p
+    return h, math.comb(d, h + 1) % p
 
 
 def _split_adjoint_type(t: JordanType, p: int) -> tuple[JordanType, JordanType]:

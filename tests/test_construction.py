@@ -274,7 +274,7 @@ class TestVerifyMemory:
         assert peak < 8_000_000
 
     def test_the_per_size_invariants_stay_small(self):
-        # End(V_40) is 1600-dimensional; its piece ranks come from 5 530
+        # End(V_40) is 1600-dimensional; its piece ranks come from 780
         # defect rows 39 wide in one call, and its invariants from no
         # elimination
         helpers.clear_memos()
@@ -287,8 +287,8 @@ class TestVerifyMemory:
         assert peak < 12_000_000
 
     def test_batched_pieces_stay_within_the_budget(self):
-        # the 15 pieces of 36, ..., 40 hold 4 047 to 5 530 defect rows each,
-        # 67 831 in all; the calls are cut between blocks under the byte
+        # the 15 pieces of 36, ..., 40 hold 630 to 780 defect rows each,
+        # 10 185 in all; the calls are cut between blocks under the byte
         # budget, where one call on all their graded rows peaked near 120 MB
         helpers.clear_memos()
         tracemalloc.start()
@@ -300,7 +300,7 @@ class TestVerifyMemory:
         assert peak < 12_000_000
 
     def test_a_large_diagonal_piece_stays_small(self):
-        # End(V_100) puts 84 575 defect rows 99 wide through `_echelon`;
+        # End(V_100) puts 4 950 defect rows 99 wide through `_echelon`;
         # one call on all of its 333 399 kept graded rows peaked near 256 MB
         helpers.clear_memos()
         tracemalloc.start()
@@ -309,6 +309,20 @@ class TestVerifyMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 12_000_000
+
+    def test_a_wide_diagonal_piece_ranks_only_its_middle_blocks(self, echelon_rows):
+        # End(V_200) puts C(200, 2) = 19 900 defect rows 199 wide through
+        # `_echelon`, one middle block per power, where the defects of its
+        # kept blocks were 671 650 rows
+        helpers.clear_memos()
+        tracemalloc.start()
+        try:
+            assert one_piece(200, 200, 2)[1] == (7, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(echelon_rows) == defect_rows(200, 200) == 19_900
         assert peak < 12_000_000
 
 
@@ -383,12 +397,13 @@ def kept_blocks(r: int, s: int):
 
 
 def defect_rows(r: int, s: int) -> int:
-    """Rows the kept blocks put through `_echelon`: none for a block with
-    f = 0 or a = r - 1, else f rows of the defect matrix for k <= s and the
-    block's own a + 1 rows for k > s."""
+    """Rows the middle blocks, d = floor((top - k) / 2), put through
+    `_echelon`: none for a block with f = 0 or a = r - 1, else f rows of
+    the defect matrix for k <= s and the block's own a + 1 rows for k > s."""
     return sum(
         0 if f == 0 or a == r - 1 else f if k <= s else a + 1
         for k, d, a, f in kept_blocks(r, s)
+        if d == (r + s - 2 - k) // 2
     )
 
 
@@ -417,6 +432,22 @@ class TestGradedDuality:
                         assert len(rref(block, p)[1]) == len(rref(mirror, p)[1]), (r, s, k, d)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_the_middle_block_fixes_the_rank_of_each_power(self, p):
+        # over the n = top + 1 - k degrees of X^k, block (k, d) has rank
+        # min(d + 1, n - d, r, c), c the middle block's rank, a tent that
+        # sums to c(n + 1 - c); ranked by rref, not by the `_echelon` under
+        # test, over every block of every power
+        for s in range(1, 13):
+            for r in range(1, s + 1):
+                top = r + s - 2
+                for k in range(1, top + 1):
+                    n = top + 1 - k
+                    ranks = [len(rref(graded_block(r, s, k, d, p), p)[1]) for d in range(n)]
+                    c = ranks[(top - k) // 2]
+                    assert ranks == [min(d + 1, n - d, r, c) for d in range(n)], (r, s, k)
+                    assert sum(ranks) == c * (n + 1 - c), (r, s, k)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_a_block_has_rank_a_plus_1_minus_f_plus_its_defect(self, p):
         # (1 + x)^k is a unit mod x^r, so block (k, d) loses rank only where
         # x^i (1 + x)^-k, i < f, meets the sources; both ranked by rref, not
@@ -432,10 +463,11 @@ class TestGradedDuality:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_pieces_eliminate_only_the_kept_half(self, echelon_rows, p):
         # all blocks would be 13 271 rows for (24, 24) and 1 794 for (12, 13),
-        # the kept half 4 623 and 650; ranked by their defects they are
+        # the kept half 4 623 and 650, and its defects 1 222 and 161; the
+        # middle blocks' defects are C(24, 2) and 66
         one_piece(24, 24, p)
         one_piece(12, 13, p)
-        assert echelon_rows == [defect_rows(24, 24), defect_rows(12, 13)] == [1222, 161]
+        assert echelon_rows == [defect_rows(24, 24), defect_rows(12, 13)] == [276, 66]
 
 
 class TestSplitRoute:
@@ -575,15 +607,15 @@ class TestBatchedPieces:
             keys = rng.sample(diagonal, rng.randint(1, 5)) + rng.sample(other, rng.randint(1, 30))
             rng.shuffle(keys)
             assert construction._eliminate_pieces(keys, p) == [alone[key] for key in keys], keys
-        keys = rng.sample(self.PIECES, len(self.PIECES))  # 6 672 defect rows in one call
+        keys = rng.sample(self.PIECES, len(self.PIECES))  # 3 060 defect rows in one call
         assert construction._eliminate_pieces(keys, p) == [alone[key] for key in keys]
 
     def test_the_byte_budget_cuts_a_batch(self, monkeypatch):
-        # the pieces r <= s <= 16 hold 6 672 defect rows, (24, 24) 1 222 and
-        # (60, 60) 18 445, all 59 wide: int8 at p = 2 and 5, int32 at
+        # the pieces r <= s <= 16 hold 3 060 defect rows, (24, 24) 276 and
+        # (200, 200) 19 900, all 199 wide: int8 at p = 2 and 5, int32 at
         # p = 10007
         calls = watch_echelon(monkeypatch, lambda work: (work.nbytes, work.shape[0]))
-        keys = self.PIECES + [(24, 24), (60, 60)]
+        keys = self.PIECES + [(24, 24), (200, 200)]
         counts = {}
         for p in (2, 5, 10007):
             calls.clear()
