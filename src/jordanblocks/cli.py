@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -121,7 +122,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parsing keeps no state."""
     parser = argparse.ArgumentParser(
         prog="jordanblocks",
         description="Jordan types of unipotent actions on tensor, square, "

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-import operator
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
+from operator import index as _index
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # psi_12: the least strong pseudoprime to all twelve bases above (composite)
@@ -49,7 +49,7 @@ def characteristic(p: int) -> int:
     (numpy integers too, never a float or a string) that is prime, and below
     the bound under which primality is decided exactly."""
     try:
-        p = operator.index(p)
+        p = _index(p)
     except TypeError:
         raise TypeError(f"characteristic must be an integer, got {type(p).__name__}") from None
     if p >= _MR_EXACT_BELOW:
@@ -76,11 +76,12 @@ class JordanType:
     __slots__ = ("_pairs", "_dim")
 
     def __init__(self, blocks: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = blocks.items() if isinstance(blocks, Mapping) else blocks
+        items = blocks.items() if type(blocks) is dict or isinstance(blocks, Mapping) else blocks
         acc: dict[int, int] = {}
+        dim = 0
         for size, mult in items:
             try:
-                size, mult = operator.index(size), operator.index(mult)
+                size, mult = _index(size), _index(mult)
             except TypeError:
                 raise TypeError(
                     f"block sizes and multiplicities must be integers, got {size!r}: {mult!r}"
@@ -90,8 +91,9 @@ class JordanType:
             if mult < 1:
                 raise ValueError(f"multiplicity must be positive, got {mult}")
             acc[size] = acc.get(size, 0) + mult
+            dim += size * mult
         self._pairs: tuple[tuple[int, int], ...] = tuple(sorted(acc.items()))
-        self._dim = sum(s * m for s, m in self._pairs)
+        self._dim = dim
 
     @property
     def blocks(self) -> dict[int, int]:
@@ -147,7 +149,7 @@ class JordanType:
 
     def render(self) -> str:
         """Canonical string: ascending sizes, `size` or `size^mult` terms."""
-        return ", ".join(str(s) if m == 1 else f"{s}^{m}" for s, m in self._pairs)
+        return ", ".join([str(s) if m == 1 else f"{s}^{m}" for s, m in self._pairs])
 
     def __str__(self) -> str:
         return self.render()
@@ -181,29 +183,34 @@ def partitions_of(n: int) -> Iterator[JordanType]:
 
     Enumeration starts at the single block {n: 1} and ends at the identity
     type {1: n}; the order is deterministic, so sweeps built on it are
-    reproducible.
+    reproducible. Each type is the successor of the one before it on one
+    list of (size, mult) pairs, largest size first (Nijenhuis-Wilf NEXPAR):
+    take the trailing 1s and one part of the smallest size a > 1, and spend
+    them on parts of size a - 1 and one remainder part.
     """
     if n < 0:
         raise ValueError(f"dimension must be non-negative, got {n}")
-
-    def descend(total: int, cap: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        # (size, mult) pairs, largest size first, with every size <= cap
-        if total == 0:
-            yield ()
-            return
-        for part in range(min(total, cap), 0, -1):
-            for mult in range(total // part, 0, -1):
-                for rest in descend(total - part * mult, part - 1):
-                    yield ((part, mult),) + rest
-
-    for pairs in descend(n, n):
+    pairs = [(n, 1)] if n else []
+    while True:
         yield JordanType(pairs)
+        ones = pairs.pop()[1] if pairs and pairs[-1][0] == 1 else 0
+        if not pairs:
+            return
+        a, mult = pairs.pop()
+        if mult > 1:
+            pairs.append((a, mult - 1))
+        q, r = divmod(a + ones, a - 1)
+        pairs.append((a - 1, q))
+        if r:
+            pairs.append((r, 1))
 
 
 def nu_p(a: int, p: int) -> int:
-    """p-adic valuation of a >= 1."""
+    """p-adic valuation of a >= 1, for a base p >= 2."""
     if a < 1:
         raise ValueError(f"valuation needs a positive argument, got {a}")
+    if p < 2:
+        raise ValueError(f"valuation needs a base of at least 2, got {p}")
     k = 0
     while a % p == 0:
         a //= p

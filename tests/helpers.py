@@ -1,6 +1,8 @@
 """Shared helpers for the test suite.
 
-Provides a seeded random partition generator, mod-p matrix powers,
+Provides a seeded random partition generator, the recursive enumeration
+of partitions (the referee of `partitions.partitions_of`'s successor
+step), mod-p matrix powers,
 Gauss-Jordan row reduction and inverses over GF(p) (the referees of
 `oracle._echelon` and of the conjugations; `src/` never divides to
 eliminate), a dense matrix for the shifted tensor action, a cold start for every memo of
@@ -51,6 +53,25 @@ def random_type(rng: random.Random, max_dim: int, *, divisible_by: int = 1) -> J
         if rng.random() < 0.4:
             break
     return JordanType(blocks)
+
+
+def recursive_partitions(n: int):
+    """Every Jordan type of dimension n, built directly as (size, mult)
+    pairs: for each largest size, the multiplicity counts down, and the rest
+    uses smaller sizes only (reverse lexicographic order, `n` to `1^n`)."""
+
+    def descend(total: int, cap: int):
+        # (size, mult) pairs, largest size first, with every size <= cap
+        if total == 0:
+            yield ()
+            return
+        for part in range(min(total, cap), 0, -1):
+            for mult in range(total // part, 0, -1):
+                for rest in descend(total - part * mult, part - 1):
+                    yield ((part, mult),) + rest
+
+    for pairs in descend(n, n):
+        yield JordanType(pairs)
 
 
 def matrix_power(X: np.ndarray, k: int, p: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import argparse
 import itertools
 import json
 import os
@@ -390,6 +391,42 @@ class TestSweep:
         for line in out.strip().splitlines():
             record = json.loads(line)
             assert set(record) == {"context", "input", "carrier", "irreducible", "rule", "verified"}
+
+
+class TestParser:
+    def test_repeated_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (["sweep", "--p", "3", "--max-n", "3"], ["decompose", "--p", "3", "--type", "1, 2"]) * 2:
+            assert run(capsys, *argv)[0] == 0
+        assert built.count("jordanblocks") == 1
+
+    def test_no_option_carries_over_between_calls(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--group", "sp", "--json", "--multiplicity-free-only", "--p", "5", "--max-n", "6"
+        )
+        assert code == 0 and json.loads(out.splitlines()[0])["context"]["group"] == "Sp"
+        code, out, _ = run(capsys, "sweep", "--p", "3", "--max-n", "3")
+        assert code == 0
+        assert out.splitlines() == reference_rows("sl", 3, 3)
+        assert run(capsys, "decompose", "--p", "3", "--type", "1, 2", "--rep", "tensor", "--verify")[:2] == (
+            0, "1^2, 2^2, 3\nverified: ok\n"
+        )
+        assert run(capsys, "decompose", "--p", "3", "--type", "1, 2")[:2] == (0, "2^2, 3\n")
+
+    def test_import_builds_no_parser(self):
+        code = """
+import jordanblocks.cli
+print(jordanblocks.cli._build_parser.cache_info().currsize)
+"""
+        assert fresh_interpreter(code).strip() == "0"
 
 
 def test_no_answer_eliminates_or_builds_a_matrix(capsys, monkeypatch):
