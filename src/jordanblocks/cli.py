@@ -17,7 +17,6 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .linalg import _working_dtype
 from .partitions import JordanType, parse_jordan_type, partitions_of
 from .reports import _module, _verify, build_report
 from .rules import _DOMAINS, GroupContext, validate_classical
@@ -46,11 +45,11 @@ def _load_fixture(path: str | None) -> list[FixtureRow]:
         # every row is checked before any runs, so a bad row names its line
         try:
             n, p = int(fields[0]), int(fields[1])
-            GroupContext("SL", n, p)
-            _working_dtype(p, 2)  # a prime past int64 would be refused mid-run
+            ctx = GroupContext("SL", n, p)
             t, tensor, irr = (parse_jordan_type(f) for f in fields[2:])
             if t.dim != n:
                 raise ValueError(f"type has dimension {t.dim}, row says n = {n}")
+            _module("tensor", t, ctx)  # the carrier, whose cap the row would meet mid-run
         except ValueError as exc:
             raise ValueError(f"fixture line {lineno}: {exc}") from exc
         rows.append((n, p, t, tensor, irr))
@@ -145,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument(
         "--verify",
         action="store_true",
-        help="check the printed module: SL recomputes tensor and irr by elimination; Sp/SO "
+        help="check the printed module: SL recomputes tensor and irr by graded ranks; Sp/SO "
         "check carrier + other square == V tensor V*, irr being the rule applied to that "
         "carrier; any other --rep is checked at odd p by ext2 + sym2 == V tensor V* beside "
         "the checked carrier",

@@ -5,32 +5,29 @@ the contragredient action. `build_adjoint_action` restricts u tensor dual(u)
 to the kernel of the evaluation form (modulo the invariant line when p
 divides dim V) as one explicit matrix, the tests' whole-module referee.
 
-The SL verify route builds no matrix: it sums the module's ranks piece by
-piece, each V_r tensor V_s^* from the graded blocks of X^k on
-k[x, v]/(x^r, v^s). X^k's block from degree d is the transpose of its
-block from r + s - 2 - k - d, and over the n = r + s - 1 - k degrees its
-ranks form a tent capped by the middle block's rank c, so
-rank X^k = c(n + 1 - c) and only the middle block is ranked, by its
-defect: (1 + x)^k is a unit mod x^r, so what is eliminated is at most
-min(r, s) - 1 wide and holds no unit triangle. The two invariants per
-block size that correct the diagonal part are read off the series
-(1 + x)^-j and one binomial, with no elimination. The pieces of a type
-that are not memoized yet are eliminated together, in calls cut as
-`_eliminate_pieces` states. V tensor V*'s blocks are read off the sum and
-L's off the corrected sum: SL `--verify` checks `--rep tensor` and `irr`
-with these.
+The SL verify route builds no matrix and eliminates nothing: it sums the
+module's ranks piece by piece, each V_r tensor V_s^* from the graded
+blocks of X^k on k[x, v]/(x^r, v^s). Over the n = r + s - 1 - k degrees
+the blocks' ranks form a tent capped by the middle block's rank c, so
+rank X^k = c(n + 1 - c), and c is the rank of one Hankel matrix over a
+window of (1 + x)^-k or (1 + x)^k mod p, read off the window's linear
+complexity in Python ints, at every prime. The two invariants per block
+size that correct the diagonal part are read off the series (1 + x)^-j
+and one binomial. V tensor V*'s blocks are read off the sum and L's off
+the corrected sum: SL `--verify` checks `--rep tensor` and `irr` with
+these.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
-from .linalg import (
-    PrimeFieldMatrix, _working_dtype, block_diagonal, dual_action, jordan_block, kronecker
-)
-from .oracle import _blocks_from_ranks, _checked, _echelon
+from .linalg import PrimeFieldMatrix, block_diagonal, dual_action, jordan_block, kronecker
+from .oracle import _blocks_from_ranks, _checked
 from .partitions import JordanType
 from .rules import GroupContext
 
@@ -71,45 +68,6 @@ def build_adjoint_action(t: JordanType, p: int) -> PrimeFieldMatrix:
     return PrimeFieldMatrix(reduced[np.ix_(keep, keep)], p)
 
 
-# p -> windows over the series (1 + x)^j mod p, as `_series_windows` reads
-# them, as tall and as wide as the tallest and the widest call at p so far;
-# read-only.
-_series_memo: dict[int, np.ndarray] = {}
-
-
-def _series_windows(most: int, wide: int, p: int) -> np.ndarray:
-    """Windows of wide columns over the series (1 + x)^j mod p, -most <= j
-    <= most: window [most + j, o] holds [x^(o + t)](1 + x)^j at column t,
-    for o < wide and o + t < wide. That is C(j, c) for j >= 0 and
-    (-1)^c C(-j + c - 1, c) for j < 0, at c = o + t.
-
-    They are views of `_series_memo`'s windows at p, kept for the process in
-    `_echelon`'s dtype at p. A call that fits them reads them; a taller or a
-    wider one rebuilds them to cover both, a column at a time: as
-    (1 + x)^j = (1 + x)^(j-1) + x (1 + x)^(j-1), column c is the sum of
-    column c - 1 over 0 <= i < j for j > 0, and minus its sum over
-    j <= i < 0 for j < 0, both the prefix sums less their value at j = 0.
-    """
-    windows = _series_memo.get(p)
-    if windows is None or windows.shape[0] <= 2 * most or windows.shape[2] < wide:
-        height = max(most, 0 if windows is None else windows.shape[0] // 2)
-        cols = max(wide, 0 if windows is None else windows.shape[2])
-        table = np.zeros((2 * cols, 2 * height + 1), dtype=np.int64)  # transposed: row c is column c
-        table[0] = 1
-        for previous, column in zip(table, table[1:cols]):
-            previous[:-1].cumsum(out=column[1:])
-            column -= column[height]
-            column %= p
-        table = np.ascontiguousarray(table.T, dtype=_working_dtype(p, 2))
-        table.flags.writeable = False
-        windows = _series_memo[p] = np.lib.stride_tricks.sliding_window_view(table, cols, axis=1)
-    centre = windows.shape[0] // 2
-    return windows[centre - most : centre + most + 1, :wide, :wide]
-
-
-# The byte budget of one `_echelon` call's rows (see `_eliminate_pieces`).
-_ECHELON_BYTES = 1 << 19
-
 # A piece's ranks of X^0, X^1, ... down to 0, and its invariants (h, c) or None.
 _Piece = tuple[tuple[int, ...], tuple[int, int] | None]
 
@@ -117,10 +75,27 @@ _Piece = tuple[tuple[int, ...], tuple[int, int] | None]
 _piece_memo: dict[tuple[int, int, int], _Piece] = {}
 
 
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, index) for every 0 <= index < counts[owner], in order."""
-    owner = np.arange(counts.size).repeat(counts)
-    return owner, np.arange(owner.size) - (counts.cumsum() - counts)[owner]
+def _hankel_rank(u: list[int], m: int, p: int) -> int:
+    """Rank mod p of the m x w Hankel matrix H[i, j] = u[i + j], w =
+    len(u) + 1 - m: min(m, w, l, len(u) + 1 - l), l the linear complexity
+    of u, the length of its shortest linear recurrence (Heinig-Rost,
+    Algebraic Methods for Toeplitz-like Matrices and Operators, 1984).
+    l comes from Berlekamp-Massey (Massey, IEEE Trans. Inf. Theory 15,
+    1969) on Python ints, so every prime is exact."""
+    c, b = [1], [1]  # connection polynomials: now, and before the last change of l
+    ell, gap, last = 0, 1, 1
+    for n in range(len(u)):
+        d = sum(map(mul, c, u[n::-1])) % p  # how far c misses u[n]
+        if d:
+            scale = d * pow(last, -1, p) % p
+            fixed = c + [0] * (gap + len(b) - len(c))
+            for i, term in enumerate(b, gap):
+                fixed[i] = (fixed[i] - scale * term) % p
+            if 2 * ell <= n:
+                b, last, ell, gap = c, d, n + 1 - ell, 0
+            c = fixed
+        gap += 1
+    return min(m, len(u) + 1 - m, ell, len(u) + 1 - ell)
 
 
 def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
@@ -143,28 +118,21 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     block (k, top - k - d) transposed. So the middle block,
     d = floor((top - k) / 2), fixes rank X^k: with n = top + 1 - k degrees
     and c that block's rank, block (k, d) has rank min(d + 1, n - d, r, c)
-    at every d < n, a tent that sums to c(n + 1 - c). There d < s, as
-    r <= s.
+    at every d < n, a tent that sums to c(n + 1 - c) (the tests hold it to
+    every block's rank for r <= s <= 12). There d < s, as r <= s.
 
     (1 + x)^k is a unit mod x^r, so g (1 + x)^k has no term from f on
     exactly when g lies in the span of x^i (1 + x)^-k, i < f: block (k, d)
     has rank a + 1 - f + rank M, M the f x (r - 1 - a) defect matrix of the
     terms of those series past degree a, M[i, c] = [x^(c-i)](1 + x)^-k for
     a < c < r. For k > s, f > a + 1, and the block itself, C(k, c - i) for
-    f <= c < r, has fewer rows. For a fixed k, M (k <= s) or the block
-    (k > s) reads one window of (1 + x)^-k or (1 + x)^k, its terms
-    |k - s| + 1 to r - 1, in shapes m x (L + 1 - m), L the window's length;
-    such Toeplitz matrices have rank min(m, L + 1 - m, rho), whence the
-    tent (the tests hold it to every block's rank for r <= s <= 12). A
-    middle block with f = 0 or a = r - 1 has full rank and builds no row.
-    Else M goes through `_echelon` for k <= s, not the block, whose rows
-    i >= f form a unit staircase that `_echelon`'s rounds would walk down,
-    and the block itself for k > s. Both read their rows from
-    `_series_windows`, and at most max r - 1 columns. Each power's middle
-    block is its own `_echelon` tag; they go through `_echelon` in tag
-    order, cut between blocks into calls of at most `_ECHELON_BYTES` of
-    rows each (a larger block goes alone), as `_echelon` holds about nine
-    copies of them.
+    f <= c < r, has fewer rows. A middle block with f = 0 or a = r - 1 has
+    full rank. Else M (k <= s) or the block (k > s) is Toeplitz, and with
+    its rows reversed it is the Hankel matrix over one window of
+    (1 + x)^-k, its terms d + 2 - f to r - 1, or of (1 + x)^k, its terms
+    f - d to r - 1, which `_hankel_rank` ranks. The call builds the terms
+    below x^(max r) of (1 + x)^j and (1 + x)^-j once, for j up to its
+    largest top, by Pascal's rule and its inverse.
 
     On End(V_d), with eps the trace, h = max{k : I in im X^k} and c = eps(w)
     for any w with X^h(w) = I. X(A) = [N, A] u^-1 with N = u - 1, so
@@ -175,57 +143,37 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     im X^k exactly when (1 + x)^-(k+1) has no term in degrees d - k to
     d - 1, and then its terms below x^(d-k) are the one preimage; as the
     source x^i v^(d-1-k-i) has eps(x^i v^(d-1-k-i) u^k) = (-1)^i,
-    c = sum over i <= d - 1 - h of (-1)^i [x^i](1 + x)^-(h+1) = C(d, h + 1).
-    Neither needs an elimination (`_invariants`).
+    c = sum over i <= d - 1 - h of (-1)^i [x^i](1 + x)^-(h+1) = C(d, h + 1)
+    (`_invariants`).
     """
     if not keys:
         return []
-    dtype = _working_dtype(p, 2)  # refuses a too-large p before any arithmetic
-    r, s = np.array(keys).T
-    top = r + s - 2  # highest degree, so X^(top+1) = 0
-    centre, wide = int(top.max()) + 1, int(r.max())
-    width = max(wide - 1, 1)  # with wide = 1 no block has a row
-    most = _ECHELON_BYTES // (width * np.dtype(dtype).itemsize)  # rows one call may take
-    # every power (piece, k), 1 <= k <= top, in tag order, and its middle
-    # block d, 2d = top - k or top - k - 1
-    piece, k = _ragged(top)
-    k += 1
-    d = (top[piece] - k) // 2
-    # 2d <= top - k gives f <= r - 1 - d, so f = 0 unless a = d
-    first = np.maximum(d + k - s[piece] + 1, 0)
-    defect = k <= s[piece]
-    rank = defect * (np.minimum(d + 1, r[piece]) - first)
-    # the blocks with rows: M's f or the block's d + 1, row i of which reads
-    # series (1 + x)^-k or (1 + x)^k from column lead - i, span columns
-    rows = np.where(defect, first, d + 1)
-    blocks = rows.nonzero()[0]
-    lead = np.where(defect, d + 1, first)[blocks]
-    span = r[piece[blocks]] - lead
-    series = centre + np.where(defect, -k, k)[blocks]
-    rows = rows[blocks]
-    ends = np.concatenate(([0], rows.cumsum()))  # rows before each block
-    windows = _series_windows(centre, wide, p)
-    keep = (np.arange(width) < np.arange(width + 1)[:, None]).astype(dtype)  # row n: ones in n columns
-    start = 0
-    while start < blocks.size:
-        # the most blocks from start whose rows fit the budget, and at least one
-        stop = max(int(ends.searchsorted(ends[start] + most, "right")) - 1, start + 1)
-        owner, i = _ragged(rows[start:stop])
-        at = start + owner
-        work = windows[series[at], lead[at] - i, :width] * keep.take(span[at], axis=0)
-        _, pivots = _echelon(work, p, owner)
-        rank[blocks[start:stop]] += np.bincount(pivots // width, minlength=stop - start)
-        start = stop
-
-    # rank X^k = c(n + 1 - c) for each power (piece, k), k >= 1, in order,
-    # c its middle block's rank and n = top + 1 - k
-    power_ranks = (rank * (top[piece] + 2 - k - rank)).tolist()
-    z = windows[centre - wide : centre, 0][::-1].tolist()  # row k: (1 + x)^-(k+1) below x^wide
-    out, done = [], 0
-    for rb, sb, tb in zip(r.tolist(), s.tolist(), top.tolist()):
-        ranks = [rb * sb, *power_ranks[done : done + tb], 0]
-        out.append((tuple(ranks[: ranks.index(0) + 1]), _invariants(z, rb, p) if rb == sb else None))
-        done += tb
+    wide = max(r for r, _ in keys)
+    most = max(wide, *(r + s - 2 for r, s in keys))
+    # row j: the terms below x^wide of (1 + x)^j and (1 + x)^-j mod p, as
+    # (1 + x)^(j+1) = (1 + x)^j + x (1 + x)^j, and (1 + x)^-(j+1) is
+    # (1 + x)^-j less x (1 + x)^-(j+1)
+    up, down = [[1] + [0] * (wide - 1)], [[1] + [0] * (wide - 1)]
+    for _ in range(most):
+        up.append([(a + b) % p for a, b in zip(up[-1], [0, *up[-1]])])
+        down.append(list(accumulate(down[-1], lambda total, a: (a - total) % p)))
+    out = []
+    for r, s in keys:
+        top = r + s - 2
+        ranks = [r * s]
+        for k in range(1, top + 1):
+            d = (top - k) // 2  # the middle block, of rank c
+            f = max(d + k - s + 1, 0)
+            if k <= s:
+                c = min(d + 1, r) - f
+                if f and d < r - 1:
+                    c += _hankel_rank(down[k][d + 2 - f : r], f, p)
+            else:
+                c = _hankel_rank(up[k][f - d : r], d + 1, p) if f < r else 0
+            if not c:
+                break
+            ranks.append(c * (top + 2 - k - c))
+        out.append(((*ranks, 0), _invariants(down[1:], r, p) if r == s else None))
     return out
 
 
@@ -242,13 +190,13 @@ def _invariants(z: list[list[int]], d: int, p: int) -> tuple[int, int]:
 
 def _split_adjoint_type(t: JordanType, p: int) -> tuple[JordanType, JordanType]:
     """Jordan types of u on V tensor V* and on the adjoint module L, summand
-    by summand, with no elimination wider than max d - 1 columns.
+    by summand, from one Hankel rank per power of each piece.
 
     V tensor V* is the sum of the u-invariant pieces V_a tensor V_b^* over
     ordered pairs of blocks, so its ranks of X^k are sums of the pieces'
     ranks, each from `_eliminate_pieces`' graded blocks and memoized by
     sizes and p in `_piece_memo`: the pieces of t missing from it are
-    eliminated together, in calls cut as `_eliminate_pieces` states.
+    ranked together, in one call.
     L is ker eps, eps the evaluation form, taken mod the identity I when
     p | n. eps vanishes on every piece with a != b, and I lies in the sum of
     the a = b pieces, so only that diagonal part needs a correction. eps

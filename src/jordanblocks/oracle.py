@@ -11,18 +11,14 @@ V_d tensor V_d (Barry 2011, Gow-Laffey 2006); at p = 2 the exterior square
 folds across the next power of 2 (see `_square_single`). No answer here
 builds a matrix.
 
-Ranks are counted only for an explicit matrix (`jordan_type_of`) and for
-`--verify` (`construction`), by the same division-free `_echelon` at every
-prime, p = 2 included. For a matrix, `_rank_chain` carries a row basis of
-the row space of X^k, X = u - 1, along, multiplies it by X and echelonizes
-it once per step. `--verify` ranks each power X^k on the pieces
-V_r tensor V_s^* in `construction` from the defect matrix of its middle
-graded block alone, as c(n + 1 - c), c that block's rank and n the
-number of degrees: many small problems per call under `_echelon`'s tags.
-All arithmetic is integer, in the narrowest dtype (int8 to int64) that
-`linalg._working_dtype` picks for the elimination's bound at p; a prime
-too large for int64 is refused.
-The closed forms need no such bound: they answer at every prime
+Only an explicit matrix (`jordan_type_of`) is eliminated, by the
+division-free `_echelon` at every prime, p = 2 included: `_rank_chain`
+carries a row basis of the row space of X^k, X = u - 1, along, multiplies
+it by X and echelonizes it once per step. All arithmetic is integer, in
+the narrowest dtype (int8 to int64) that `linalg._working_dtype` picks for
+the elimination's bound at p; a prime too large for int64 is refused for
+an explicit matrix only. The closed forms, and `--verify`'s graded ranks
+in `construction`, need no such bound: they answer at every prime
 `characteristic` accepts.
 """
 

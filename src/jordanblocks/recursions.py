@@ -9,7 +9,7 @@ needs), so this module depends on `partitions` alone. `oracle` decides which
 rule answers each pair and supplies the smaller pairs from its memo. The
 scaling, free and two-level identities are due to Renaud (J. Algebra 58,
 1979) and Glasby-Praeger-Xia (J. Algebra 2016). The tests compare every
-rule against the graded elimination engine on its stated domain, and none
+rule against the graded rank engine on its stated domain, and none
 is applied outside that domain.
 """
 

@@ -75,14 +75,14 @@ def _verify(
     `printed` is the module `decompose` shows (tensor, ext2 or sym2; none for
     irr). It stands in its slot, the report's carrier in the group's own.
     - SL tensor or irr: `construction._split_adjoint_type` recomputes both from
-      memoized graded eliminations at most min(r, s) - 1 wide per piece
-      V_r tensor V_s^*; no tensor-pair closed form.
+      the memoized graded ranks of each piece V_r tensor V_s^*, in Python
+      ints at every prime; no tensor-pair closed form.
     - Sp/SO any rep, SL ext2 or sym2 at odd p: ext2 + sym2 == tensor, as
       ∧²V ⊕ S²V = V ⊗ V ≅ V ⊗ V*, the missing modules computed under
       max_entries; for Sp/SO irr, rule(carrier) + other == adjoint_rule(tensor)
       less the block changes the rules share. It reads how the squares are
       assembled from the memoized pairs, not the pairs, so SL adds the above.
-    - SL ext2 or sym2 at p = 2: ValueError, before any elimination.
+    - SL ext2 or sym2 at p = 2: ValueError, before any rank.
     """
     t, ctx = report.input_type, report.context
     known = {_CARRIERS[ctx.kind]: report.carrier, **printed}

@@ -6,7 +6,7 @@ step), mod-p matrix powers,
 Gauss-Jordan row reduction and inverses over GF(p) (the referees of
 `oracle._echelon` and of the conjugations; `src/` never divides to
 eliminate), a dense matrix for the shifted tensor action, a cold start for every memo of
-`construction` and `oracle`, the graded elimination engine of
+`construction` and `oracle`, the graded rank engine of
 `construction` unmemoized and in either factor order (the referee of every
 closed form; the oracle itself eliminates no pair), binomials mod p by
 Lucas's theorem (the referee of the engine's series rows), the power of p
@@ -141,28 +141,25 @@ def tensor_x_matrix(t: JordanType, p: int) -> np.ndarray:
 
 def clear_memos() -> None:
     """Empty every `lru_cache` of `construction` and `oracle`, found by its
-    cache_clear, the piece memo `construction._piece_memo` and the kept
-    series table `construction._series_memo`, so that a test starts cold
-    whichever memos they hold."""
+    cache_clear, and the piece memo `construction._piece_memo`, so that a
+    test starts cold whichever memos they hold."""
     for module in (construction, oracle):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
     construction._piece_memo.clear()
-    construction._series_memo.clear()
 
 
 def graded_engine(m: int, n: int, p: int) -> JordanType:
-    """J_m (x) J_n from the ranks of the graded pieces of X^k, by elimination
-    alone, with the factors in either order: the referee of every closed form.
+    """J_m (x) J_n from the ranks of the graded pieces of X^k, by no closed
+    form, with the factors in either order: the referee of every closed form.
 
     This is `construction._eliminate_pieces`, the engine `--verify` runs, on
-    the one piece and without its memo, so that every call eliminates; V_n*
-    has the type of V_n, so its ranks on V_m (x) V_n* are those on
-    V_m (x) V_n. It eliminates only
-    the graded blocks with 2d <= top - k and counts their mirrors twice;
-    `test_graded_engine_matches_shift_chain` holds it to the unhalved shift
-    chain, which ranks every power on all of V_m (x) V_n.
+    the one piece and without its memo, so that every call ranks; V_n* has
+    the type of V_n, so its ranks on V_m (x) V_n* are those on V_m (x) V_n.
+    It ranks only each power's middle graded block and reads the others off
+    the tent; `test_graded_engine_matches_shift_chain` holds it to the
+    shift chain, which ranks every power on all of V_m (x) V_n.
     """
     [(ranks, _)] = construction._eliminate_pieces([(min(m, n), max(m, n))], p)
     return oracle._blocks_from_ranks(ranks)
@@ -235,7 +232,7 @@ def chained_diagonal_invariants(d: int, p: int) -> tuple[int, int]:
     the image part by X = (J_d (x) J_d^-T) - 1; the probe adds nothing
     there, since I X = 0. Each matrix has d^2 + 1 rows and d^2 + 2 columns,
     in the basis e_i (x) e_j* rather than the graded one, so this shares no
-    step with the graded kernel but `_echelon`.
+    step with the graded kernel.
     """
 
     def times_x(rows: np.ndarray) -> np.ndarray:

@@ -148,16 +148,13 @@ class TestDecompose:
         assert code == 0
         assert out == "3\n"
 
-    def test_prime_too_large_for_int64_is_refused_by_verify(self, capsys):
-        # 2(p-1)^2 + p no longer fits in int64, so the verify elimination refuses it
-        code, out, err = run(
+    def test_prime_too_large_for_int64_is_verified(self, capsys):
+        # the verify route ranks in Python ints, so int64 sets it no bound either
+        code, out, _ = run(
             capsys, "decompose", "--p", "2147483659", "--type", "2", "--verify"
         )
-        assert code == 3
-        assert out == ""
-        assert "error:" in err
-        assert "2147483659" in err
-        assert "--verify" in err  # the refusal names the fix: run without it
+        assert code == 0
+        assert out == "3\nverified: ok\n"
 
     def test_largest_prime_int64_holds_is_accepted(self, capsys):
         code, out, _ = run(
@@ -439,7 +436,7 @@ def test_no_answer_eliminates_or_builds_a_matrix(capsys, monkeypatch):
         (oracle, "_echelon"), (oracle, "_rank_chain"), (oracle, "jordan_type_of"),
         (construction, "_eliminate_pieces"), (reports, "_split_adjoint_type"),
         (construction, "build_adjoint_action"), (linalg, "jordan_block"), (linalg, "kronecker"),
-        *((module, "_working_dtype") for module in (linalg, oracle, construction, cli)),
+        *((module, "_working_dtype") for module in (linalg, oracle)),
     ]:
         monkeypatch.setattr(module, name, refuse)
     commands = [
@@ -457,6 +454,33 @@ def test_no_answer_eliminates_or_builds_a_matrix(capsys, monkeypatch):
     finally:
         clear_memos()
     assert codes == [0] * len(commands)
+
+
+def test_sl_verify_eliminates_nothing(capsys, monkeypatch):
+    # SL --verify and reproduce-table rank in Python ints from cold memos:
+    # numpy's elimination and its dtype bound refuse in every module that
+    # binds them
+    def refuse(*args, **kwargs):
+        raise AssertionError("SL --verify reached a numpy elimination")
+
+    for name, original in [
+        ("_echelon", oracle._echelon), ("_rank_chain", oracle._rank_chain), ("_working_dtype", linalg._working_dtype),
+    ]:
+        for module in (cli, construction, linalg, oracle, reports):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse)
+    commands = [
+        ["decompose", "--p", p, "--type", t, "--verify", *rep]
+        for p in ("2", "3", "5", "10007")
+        for t in (TestDecompose.TYPES["sl"], "1^2, 2, 5", "6^2")
+        for rep in ([], ["--rep", "tensor"])
+    ]
+    clear_memos()
+    try:
+        codes = [run(capsys, *argv)[0] for argv in [*commands, ["reproduce-table"]]]
+    finally:
+        clear_memos()
+    assert codes == [0] * (len(commands) + 1)
 
 
 class TestReproduceTable:
@@ -487,9 +511,9 @@ class TestReproduceTable:
             ("3;4;3;1, 4^2;4^2", "characteristic must be prime, got 4"),
             ("3;2;2;1, 4^2;4^2", "type has dimension 2, row says n = 3"),
             ("3;2;3^;1, 4^2;4^2", "bad term"),
-            (f"2;{2**61 - 1};2;1, 3;3", "would overflow int64"),
+            ("15;17;15;1, 3, 17^13;3, 17^13", "exceeds the cap"),  # a right row past the entry cap
         ],
-        ids=["integer", "prime", "dimension", "partition", "large-prime"],
+        ids=["integer", "prime", "dimension", "partition", "cap"],
     )
     def test_bad_row_is_refused_with_its_line_before_any_row_runs(self, capsys, tmp_path, row, message):
         # line 2 is a wrong answer that would exit 4 if it ran; the bad row on
@@ -501,6 +525,13 @@ class TestReproduceTable:
         assert out == ""
         assert err.startswith("error: fixture line 3: ")
         assert message in err
+
+    def test_a_prime_past_int64_is_reproduced(self, capsys, tmp_path):
+        rows = tmp_path / "rows.txt"
+        rows.write_text(f"2;{2**61 - 1};2;1, 3;3\n")
+        code, out, _ = run(capsys, "reproduce-table", "--fixture", str(rows))
+        assert code == 0
+        assert out.endswith("1/1 rows match\n")
 
     def test_empty_fixture_is_rejected(self, capsys, tmp_path):
         bad = tmp_path / "rows.txt"
@@ -638,6 +669,6 @@ class TestArgumentHandling:
             main(["decompose", "--help"])
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
-        assert "SL recomputes tensor and irr by elimination" in text
+        assert "SL recomputes tensor and irr by graded ranks" in text
         assert "Sp/SO check carrier + other square == V tensor V*" in text
         assert "any other --rep is checked at odd p by ext2 + sym2 == V tensor V*" in text

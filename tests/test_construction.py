@@ -1,6 +1,7 @@
 """Tests for the adjoint construction, its split verify route, and the
 paper's proof model in `helpers`: shift closed forms and the delta ladder."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -204,12 +205,11 @@ def test_clear_memos_leaves_every_memo_cold():
 
     def sizes():
         memos = (oracle._tensor_block_type, oracle._square_single)
-        kept = (construction._piece_memo, construction._series_memo)
-        return [memo.cache_info().currsize for memo in memos] + [len(memo) for memo in kept]
+        return [memo.cache_info().currsize for memo in memos] + [len(construction._piece_memo)]
 
     assert all(sizes())
     helpers.clear_memos()
-    assert sizes() == [0, 0, 0, 0]
+    assert sizes() == [0, 0, 0]
 
 
 def one_piece(r: int, s: int, p: int) -> tuple[tuple[int, ...], tuple[int, int] | None]:
@@ -231,32 +231,6 @@ def verify_peak(t: JordanType, p: int) -> tuple[bool, int]:
     return report.verified, peak
 
 
-def watch_echelon(monkeypatch, read) -> list:
-    """read(work) for every `_echelon` call, watched through both modules' names."""
-    seen = []
-    echelon = oracle._echelon
-
-    def recorded(work, *args):
-        seen.append(read(work))
-        return echelon(work, *args)
-
-    monkeypatch.setattr(construction, "_echelon", recorded)
-    monkeypatch.setattr(oracle, "_echelon", recorded)
-    return seen
-
-
-@pytest.fixture
-def echelon_widths(monkeypatch):
-    """The width of every `_echelon` call."""
-    return watch_echelon(monkeypatch, lambda work: work.shape[1])
-
-
-@pytest.fixture
-def echelon_rows(monkeypatch):
-    """The number of rows of every `_echelon` call."""
-    return watch_echelon(monkeypatch, lambda work: work.shape[0])
-
-
 class TestVerifyMemory:
     @pytest.mark.parametrize("blocks", [{1: 200}, {2: 10, 3: 20}], ids=["1^200", "2^10,3^20"])
     def test_many_small_blocks_stay_small(self, blocks):
@@ -274,9 +248,8 @@ class TestVerifyMemory:
         assert peak < 8_000_000
 
     def test_the_per_size_invariants_stay_small(self):
-        # End(V_40) is 1600-dimensional; its piece ranks come from 780
-        # defect rows 39 wide in one call, and its invariants from no
-        # elimination
+        # End(V_40) is 1600-dimensional; its piece ranks come from one
+        # Hankel window per power, and its invariants from the series
         helpers.clear_memos()
         tracemalloc.start()
         try:
@@ -286,10 +259,10 @@ class TestVerifyMemory:
             tracemalloc.stop()
         assert peak < 12_000_000
 
-    def test_batched_pieces_stay_within_the_budget(self):
-        # the 15 pieces of 36, ..., 40 hold 630 to 780 defect rows each,
-        # 10 185 in all; the calls are cut between blocks under the byte
-        # budget, where one call on all their graded rows peaked near 120 MB
+    def test_batched_pieces_stay_small(self):
+        # the 15 pieces of 36, ..., 40 in one call hold only the series
+        # rows up to x^40, where one elimination of all their graded rows
+        # peaked near 120 MB
         helpers.clear_memos()
         tracemalloc.start()
         try:
@@ -300,8 +273,8 @@ class TestVerifyMemory:
         assert peak < 12_000_000
 
     def test_a_large_diagonal_piece_stays_small(self):
-        # End(V_100) puts 4 950 defect rows 99 wide through `_echelon`;
-        # one call on all of its 333 399 kept graded rows peaked near 256 MB
+        # End(V_100) ranks one window of at most 99 terms per power; one
+        # elimination of all of its 333 399 kept graded rows peaked near 256 MB
         helpers.clear_memos()
         tracemalloc.start()
         try:
@@ -311,10 +284,10 @@ class TestVerifyMemory:
             tracemalloc.stop()
         assert peak < 12_000_000
 
-    def test_a_wide_diagonal_piece_ranks_only_its_middle_blocks(self, echelon_rows):
-        # End(V_200) puts C(200, 2) = 19 900 defect rows 199 wide through
-        # `_echelon`, one middle block per power, where the defects of its
-        # kept blocks were 671 650 rows
+    def test_a_wide_diagonal_piece_ranks_only_its_middle_blocks(self):
+        # End(V_200) ranks one window of at most 199 terms per power, its
+        # middle block's, where the defects of its kept blocks were 671 650
+        # rows
         helpers.clear_memos()
         tracemalloc.start()
         try:
@@ -322,7 +295,6 @@ class TestVerifyMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(echelon_rows) == defect_rows(200, 200) == 19_900
         assert peak < 12_000_000
 
 
@@ -332,50 +304,6 @@ def series_mod_p(j: int, m: int, p: int) -> int:
     if j >= 0:
         return binom_mod_p(j, m, p)
     return (-1) ** m * binom_mod_p(-j + m - 1, m, p) % p
-
-
-class TestBinomialRows:
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 10007])
-    def test_series_rows_match_lucas(self, p):
-        # every order a piece 61 wide reaches, -120 to 120, at every offset
-        # and column, read from a table built for 17 columns, from the one a
-        # 61-wide call rebuilds it to, and from that kept table by a 17-wide
-        # call again
-        helpers.clear_memos()
-        lucas = {j: [series_mod_p(j, m, p) for m in range(121)] for j in range(-120, 121)}
-        for width in (17, 61, 17):
-            most = 2 * width - 2
-            j, offset, column = (a.ravel() for a in np.mgrid[-most : most + 1, :width, :width])
-            windows = construction._series_windows(most, width, p)
-            inside = offset + column < width  # the windows' promise
-            got = windows[most + j, offset, column][inside]
-            want = [lucas[a][b] for a, b in zip(j[inside].tolist(), (offset + column)[inside].tolist())]
-            assert got.tolist() == want, width
-        assert construction._series_memo[p].shape[0] == 2 * 120 + 1
-
-    def test_the_kept_table_is_read_only(self):
-        helpers.clear_memos()
-        windows = construction._series_windows(10, 6, 3)
-        kept = construction._series_memo[3]
-        assert not windows.flags.writeable
-        assert not kept.flags.writeable
-        with pytest.raises(ValueError):
-            windows[1, 3, 0] = 2
-
-    def test_cold_calls_at_one_prime_build_the_series_once(self):
-        # the second call is shorter and narrower than the first, so it reads
-        # the series the first one kept; another prime builds its own
-        helpers.clear_memos()
-        first = construction._eliminate_pieces([(5, 7), (7, 7)], 3)
-        kept = construction._series_memo[3]
-        second = construction._eliminate_pieces([(2, 4), (4, 6), (6, 6)], 3)
-        assert construction._series_memo[3] is kept
-        construction._eliminate_pieces([(2, 4)], 5)
-        assert construction._series_memo[3] is kept and set(construction._series_memo) == {3, 5}
-        # and reads what a cold process would
-        helpers.clear_memos()
-        assert construction._eliminate_pieces([(2, 4), (4, 6), (6, 6)], 3) == second
-        assert construction._eliminate_pieces([(5, 7), (7, 7)], 3) == first
 
 
 def graded_block(r: int, s: int, k: int, d: int, p: int) -> np.ndarray:
@@ -396,17 +324,6 @@ def kept_blocks(r: int, s: int):
             yield k, d, min(d, r - 1), max(d + k - s + 1, 0)
 
 
-def defect_rows(r: int, s: int) -> int:
-    """Rows the middle blocks, d = floor((top - k) / 2), put through
-    `_echelon`: none for a block with f = 0 or a = r - 1, else f rows of
-    the defect matrix for k <= s and the block's own a + 1 rows for k > s."""
-    return sum(
-        0 if f == 0 or a == r - 1 else f if k <= s else a + 1
-        for k, d, a, f in kept_blocks(r, s)
-        if d == (r + s - 2 - k) // 2
-    )
-
-
 def defect_matrix(r: int, k: int, a: int, f: int, p: int) -> np.ndarray:
     """M[i, c] = [x^(c-i)](1 + x)^-k = (-1)^(c-i) C(k + c - i - 1, c - i)
     mod p, 0 for c < i, for 0 <= i < f and a < c < r."""
@@ -421,7 +338,7 @@ class TestGradedDuality:
     def test_mirror_blocks_have_equal_rank(self, p):
         # x^i v^j <-> x^(r-1-i) v^(s-1-j) pairs R_d with R_(top-d), and both
         # blocks read C(k, c - i), so block (k, top - k - d) is block (k, d)
-        # transposed; ranked by rref, not by the `_echelon` under test
+        # transposed; ranked by rref, not by the engine under test
         for s in range(1, 13):
             for r in range(1, s + 1):
                 top = r + s - 2
@@ -435,7 +352,7 @@ class TestGradedDuality:
     def test_the_middle_block_fixes_the_rank_of_each_power(self, p):
         # over the n = top + 1 - k degrees of X^k, block (k, d) has rank
         # min(d + 1, n - d, r, c), c the middle block's rank, a tent that
-        # sums to c(n + 1 - c); ranked by rref, not by the `_echelon` under
+        # sums to c(n + 1 - c); ranked by rref, not by the engine under
         # test, over every block of every power
         for s in range(1, 13):
             for r in range(1, s + 1):
@@ -451,7 +368,7 @@ class TestGradedDuality:
     def test_a_block_has_rank_a_plus_1_minus_f_plus_its_defect(self, p):
         # (1 + x)^k is a unit mod x^r, so block (k, d) loses rank only where
         # x^i (1 + x)^-k, i < f, meets the sources; both ranked by rref, not
-        # by the `_echelon` under test, over every kept block (13 192 in all)
+        # by the engine under test, over every kept block (13 192 in all)
         for s in range(1, 13):
             for r in range(1, s + 1):
                 for k, d, a, f in kept_blocks(r, s):
@@ -460,14 +377,65 @@ class TestGradedDuality:
                     defect = len(rref(defect_matrix(r, k, a, f, p), p)[1])
                     assert len(rref(block, p)[1]) == a + 1 - f + defect, (r, s, k, d)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-    def test_pieces_eliminate_only_the_kept_half(self, echelon_rows, p):
-        # all blocks would be 13 271 rows for (24, 24) and 1 794 for (12, 13),
-        # the kept half 4 623 and 650, and its defects 1 222 and 161; the
-        # middle blocks' defects are C(24, 2) and 66
-        one_piece(24, 24, p)
-        one_piece(12, 13, p)
-        assert echelon_rows == [defect_rows(24, 24), defect_rows(12, 13)] == [276, 66]
+def hankel(u, m: int) -> np.ndarray:
+    """The m x (len(u) + 1 - m) Hankel matrix H[i, j] = u[i + j]."""
+    w = len(u) + 1 - m
+    return np.array([[u[i + j] for j in range(w)] for i in range(m)], dtype=np.int64).reshape(m, w)
+
+
+class TestHankelRank:
+    @pytest.mark.parametrize("p, longest", [(2, 7), (3, 5)])
+    def test_every_short_sequence_and_split(self, p, longest):
+        # min(m, w, l, N + 1 - l) against rref, on every sequence of length
+        # N <= longest and every m x (N + 1 - m) shape
+        for n in range(1, longest + 1):
+            for u in itertools.product(range(p), repeat=n):
+                for m in range(1, n + 1):
+                    assert construction._hankel_rank(list(u), m, p) == len(rref(hankel(u, m), p)[1]), (u, m)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 10007])
+    def test_seeded_random_windows(self, p):
+        # sequences of every linear complexity: a random recurrence of
+        # random order from random seeds, half of them with one term changed
+        rng = random.Random(p)
+        for _ in range(500):
+            n = rng.randint(1, 14)
+            order = rng.randint(0, n)
+            taps = [rng.randrange(p) for _ in range(order)]
+            u = [rng.randrange(p) for _ in range(order)]
+            while len(u) < n:
+                u.append(sum(a * b for a, b in zip(taps, u[-order:])) % p if order else 0)
+            if rng.random() < 0.5:
+                u[rng.randrange(n)] = rng.randrange(p)
+            m = rng.randint(1, n)
+            assert construction._hankel_rank(u, m, p) == len(rref(hankel(u, m), p)[1]), (u, m)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_middle_window_up_to_24(self, p):
+        # each power's middle block of each piece r <= s <= 24: its defect
+        # M for k <= s, or the block itself for k > s, built from binomials,
+        # is Hankel with its rows reversed, `_hankel_rank` ranks it as rref
+        # does, and the engine gives X^k the rank c(n + 1 - c) that follows
+        for s in range(1, 25):
+            for r in range(1, s + 1):
+                top = r + s - 2
+                ranks = [r * s]
+                for k in range(1, top + 1):
+                    d = (top - k) // 2
+                    a, f = min(d, r - 1), max(d + k - s + 1, 0)
+                    window = defect_matrix(r, k, a, f, p) if k <= s else graded_block(r, s, k, d, p)
+                    c = a + 1 - f if k <= s else 0
+                    if window.size:
+                        reversed_rows = window[::-1]
+                        u = [int(x) for x in (*reversed_rows[:, 0], *reversed_rows[-1, 1:])]
+                        m = window.shape[0]
+                        assert np.array_equal(reversed_rows, hankel(u, m)), (r, s, k)
+                        rank = construction._hankel_rank(u, m, p)
+                        assert rank == len(rref(window, p)[1]), (r, s, k)
+                        c += rank
+                    ranks.append(c * (top + 2 - k - c))
+                ranks.append(0)
+                assert one_piece(r, s, p)[0] == tuple(ranks[: ranks.index(0) + 1]), (r, s)
 
 
 class TestSplitRoute:
@@ -480,23 +448,6 @@ class TestSplitRoute:
                 ranks, invariants = one_piece(r, s, p)
                 assert oracle._blocks_from_ranks(ranks) == want, (r, s)
                 assert (invariants is None) == (r != s), (r, s)
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-    def test_pieces_eliminate_at_most_min_r_s_wide(self, echelon_widths, p):
-        # V_12 tensor V_12^* is 144-dimensional and V_12 tensor V_13^* is
-        # 156-dimensional, but the defects of their graded blocks are at most
-        # 11 wide; the diagonal piece's invariants add no column
-        one_piece(12, 13, p)
-        assert len(echelon_widths) == 1 and echelon_widths[0] <= 11, echelon_widths
-        one_piece(12, 12, p)
-        assert len(echelon_widths) == 2 and echelon_widths[1] <= 11, echelon_widths
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-    def test_a_diagonal_piece_eliminates_once_at_most_d_minus_1_wide(self, echelon_widths, p):
-        # End(V_24) is 576-dimensional, but its ranks come from one call on
-        # rows 23 wide, and its invariants from no elimination
-        one_piece(24, 24, p)
-        assert len(echelon_widths) == 1 and echelon_widths[0] <= 23, echelon_widths
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_diagonal_invariants_match_the_chained_elimination(self, p):
@@ -513,14 +464,10 @@ class TestSplitRoute:
             assert one_piece(d, d, p)[1] == (q - 1, d // q % p), d
 
     def test_the_widest_prime_gives_clebsch_gordan(self):
-        # 2^31 - 1 is the largest prime whose elimination int64 holds (the
-        # next, 2^31 + 11, is refused); every piece r <= s <= 24 is below the
-        # characteristic there, and End(V_d) has h = 0 and c = d, so no sum
-        # along the route may overflow
-        p = 2**31 - 1
-        assert construction._working_dtype(p, 2) is np.int64
-        with pytest.raises(ValueError, match="too large"):
-            construction._working_dtype(2**31 + 11, 2)
+        # 2^61 - 1 is far past what an int64 elimination holds; every piece
+        # r <= s <= 24 is below the characteristic there, and End(V_d) has
+        # h = 0 and c = d, so the Python-int route must stay exact
+        p = 2**61 - 1
         for s in range(1, 25):
             for r in range(1, s + 1):
                 ranks, invariants = one_piece(r, s, p)
@@ -571,34 +518,10 @@ class TestSplitRoute:
 class TestBatchedPieces:
     PIECES = [(r, s) for s in range(1, 17) for r in range(1, s + 1)]
 
-    def test_a_piece_eliminates_exactly_its_kept_rows(self, echelon_rows):
-        # its defect rows, summed over however many calls the budget cuts it
-        # into
-        for s in range(1, 25):
-            for r in range(1, s + 1):
-                echelon_rows.clear()
-                one_piece(r, s, 2)
-                assert sum(echelon_rows) == defect_rows(r, s), (r, s)
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_a_cold_item_eliminates_once(self, monkeypatch, p):
-        # the 21 pieces V_r tensor V_s^*, r <= s, of 1, 2, 3, 5, 7, 12 share
-        # one call, 11 wide, as the diagonal pieces' invariants add no column
-        calls = watch_echelon(monkeypatch, lambda work: work.shape)
-        t = JordanType({1: 1, 2: 1, 3: 1, 5: 1, 7: 1, 12: 1})
-        sizes = [d for d, _ in t]
-        pieces = [(r, s) for i, r in enumerate(sizes) for s in sizes[i:]]
-        assert len(pieces) == 21
-        helpers.clear_memos()
-        construction._split_adjoint_type(t, p)
-        assert calls == [(sum(defect_rows(r, s) for r, s in pieces), 12 - 1)]
-        construction._split_adjoint_type(t, p)  # warm: every piece is memoized
-        assert len(calls) == 1
-
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 10007])
     def test_batches_match_one_piece_at_a_time(self, p):
-        # each piece reads its ranks and invariants off its own tags alone,
-        # whatever shares its call and in whatever order
+        # each piece reads its ranks and invariants off its own windows
+        # alone, whatever shares its call and in whatever order
         rng = random.Random(p)
         alone = {key: one_piece(*key, p) for key in self.PIECES}
         diagonal = [key for key in self.PIECES if key[0] == key[1]]
@@ -607,26 +530,5 @@ class TestBatchedPieces:
             keys = rng.sample(diagonal, rng.randint(1, 5)) + rng.sample(other, rng.randint(1, 30))
             rng.shuffle(keys)
             assert construction._eliminate_pieces(keys, p) == [alone[key] for key in keys], keys
-        keys = rng.sample(self.PIECES, len(self.PIECES))  # 3 060 defect rows in one call
+        keys = rng.sample(self.PIECES, len(self.PIECES))  # every piece in one call
         assert construction._eliminate_pieces(keys, p) == [alone[key] for key in keys]
-
-    def test_the_byte_budget_cuts_a_batch(self, monkeypatch):
-        # the pieces r <= s <= 16 hold 3 060 defect rows, (24, 24) 276 and
-        # (200, 200) 19 900, all 199 wide: int8 at p = 2 and 5, int32 at
-        # p = 10007
-        calls = watch_echelon(monkeypatch, lambda work: (work.nbytes, work.shape[0]))
-        keys = self.PIECES + [(24, 24), (200, 200)]
-        counts = {}
-        for p in (2, 5, 10007):
-            calls.clear()
-            construction._eliminate_pieces(keys, p)
-            assert all(nbytes <= construction._ECHELON_BYTES for nbytes, _ in calls), (p, calls)
-            assert sum(rows for _, rows in calls) == sum(map(defect_rows, *zip(*keys))), p
-            assert len(calls) > 1, p
-            counts[p] = len(calls)
-        assert counts[10007] > counts[2], counts
-
-    def test_a_batch_is_max_r_minus_1_wide_with_or_without_a_diagonal_piece(self, echelon_widths):
-        construction._eliminate_pieces([(2, 9), (5, 7), (3, 3)], 3)
-        construction._eliminate_pieces([(2, 9), (5, 7)], 3)
-        assert echelon_widths == [5 - 1, 5 - 1]
