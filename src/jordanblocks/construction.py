@@ -132,7 +132,7 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     (1 + x)^-k, its terms d + 2 - f to r - 1, or of (1 + x)^k, its terms
     f - d to r - 1, which `_hankel_rank` ranks. The call builds the terms
     below x^(max r) of (1 + x)^j and (1 + x)^-j once, for j up to its
-    largest top, by Pascal's rule and its inverse.
+    largest top (`_series_rows`).
 
     On End(V_d), with eps the trace, h = max{k : I in im X^k} and c = eps(w)
     for any w with X^h(w) = I. X(A) = [N, A] u^-1 with N = u - 1, so
@@ -149,14 +149,7 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
     if not keys:
         return []
     wide = max(r for r, _ in keys)
-    most = max(wide, *(r + s - 2 for r, s in keys))
-    # row j: the terms below x^wide of (1 + x)^j and (1 + x)^-j mod p, as
-    # (1 + x)^(j+1) = (1 + x)^j + x (1 + x)^j, and (1 + x)^-(j+1) is
-    # (1 + x)^-j less x (1 + x)^-(j+1)
-    up, down = [[1] + [0] * (wide - 1)], [[1] + [0] * (wide - 1)]
-    for _ in range(most):
-        up.append([(a + b) % p for a, b in zip(up[-1], [0, *up[-1]])])
-        down.append(list(accumulate(down[-1], lambda total, a: (a - total) % p)))
+    up, down = _series_rows(max(wide, *(r + s - 2 for r, s in keys)), wide, p)
     out = []
     for r, s in keys:
         top = r + s - 2
@@ -175,6 +168,17 @@ def _eliminate_pieces(keys: list[tuple[int, int]], p: int) -> list[_Piece]:
             ranks.append(c * (top + 2 - k - c))
         out.append(((*ranks, 0), _invariants(down[1:], r, p) if r == s else None))
     return out
+
+
+def _series_rows(most: int, wide: int, p: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Rows j = 0, ..., most of the terms below x^wide of (1 + x)^j and of
+    (1 + x)^-j mod p, as (1 + x)^(j+1) = (1 + x)^j + x (1 + x)^j, and
+    (1 + x)^-(j+1) is (1 + x)^-j less x (1 + x)^-(j+1)."""
+    up, down = [[1] + [0] * (wide - 1)], [[1] + [0] * (wide - 1)]
+    for _ in range(most):
+        up.append([(a + b) % p for a, b in zip(up[-1], [0, *up[-1]])])
+        down.append(list(accumulate(down[-1], lambda total, a: (a - total) % p)))
+    return up, down
 
 
 def _invariants(z: list[list[int]], d: int, p: int) -> tuple[int, int]:

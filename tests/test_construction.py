@@ -231,6 +231,20 @@ def verify_peak(t: JordanType, p: int) -> tuple[bool, int]:
     return report.verified, peak
 
 
+@pytest.fixture
+def hankel_windows(monkeypatch):
+    """(len(u), m) of every window `_hankel_rank` is asked to rank."""
+    seen = []
+    original = construction._hankel_rank
+
+    def recorded(u, m, p):
+        seen.append((len(u), m))
+        return original(u, m, p)
+
+    monkeypatch.setattr(construction, "_hankel_rank", recorded)
+    return seen
+
+
 class TestVerifyMemory:
     @pytest.mark.parametrize("blocks", [{1: 200}, {2: 10, 3: 20}], ids=["1^200", "2^10,3^20"])
     def test_many_small_blocks_stay_small(self, blocks):
@@ -306,6 +320,18 @@ def series_mod_p(j: int, m: int, p: int) -> int:
     return (-1) ** m * binom_mod_p(-j + m - 1, m, p) % p
 
 
+class TestBinomialRows:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 10007])
+    def test_series_rows_match_lucas(self, p):
+        # every order a piece 61 wide reaches, 0 to 120 either way, at every
+        # column, by Pascal's rule and its inverse against Lucas
+        up, down = construction._series_rows(120, 61, p)
+        assert len(up) == len(down) == 121
+        for j in range(121):
+            assert up[j] == [series_mod_p(j, m, p) for m in range(61)], j
+            assert down[j] == [series_mod_p(-j, m, p) for m in range(61)], -j
+
+
 def graded_block(r: int, s: int, k: int, d: int, p: int) -> np.ndarray:
     """X^k's block R_d -> R_(d+k) on k[x, v]/(x^r, v^s), rows and columns the
     valid exponents of x in ascending order: x^i v^(d-i) -> C(k, c - i) at x^c."""
@@ -376,6 +402,16 @@ class TestGradedDuality:
                     assert block.shape[0] == a + 1, (r, s, k, d)
                     defect = len(rref(defect_matrix(r, k, a, f, p), p)[1])
                     assert len(rref(block, p)[1]) == a + 1 - f + defect, (r, s, k, d)
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_each_power_ranks_at_most_one_window(self, hankel_windows, p):
+        # the middle block's, and none for a power whose middle block has
+        # full rank or is empty
+        for s in range(1, 13):
+            for r in range(1, s + 1):
+                hankel_windows.clear()
+                ranks, _ = one_piece(r, s, p)
+                assert len(hankel_windows) <= len(ranks) - 1, (r, s)
+
 
 def hankel(u, m: int) -> np.ndarray:
     """The m x (len(u) + 1 - m) Hankel matrix H[i, j] = u[i + j]."""
@@ -450,6 +486,16 @@ class TestSplitRoute:
                 assert (invariants is None) == (r != s), (r, s)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_pieces_rank_windows_shorter_than_min_r_s(self, hankel_windows, p):
+        # each window is of terms below x^r, past the first, so End(V_d)'s
+        # are at most d - 1 long
+        for s in range(1, 13):
+            for r in range(1, s + 1):
+                hankel_windows.clear()
+                one_piece(r, s, p)
+                assert all(1 <= m <= n < r for n, m in hankel_windows), (r, s, hankel_windows)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_diagonal_invariants_match_the_chained_elimination(self, p):
         # the graded kernel against eliminations over all of End(V_d)
         for d in range(1, 25):
@@ -517,6 +563,28 @@ class TestSplitRoute:
 
 class TestBatchedPieces:
     PIECES = [(r, s) for s in range(1, 17) for r in range(1, s + 1)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a_cold_item_eliminates_once(self, monkeypatch, p):
+        # the 21 pieces V_r tensor V_s^*, r <= s, of 1, 2, 3, 5, 7, 12 share
+        # one call, and a warm item ranks none of them again
+        calls = []
+        original = construction._eliminate_pieces
+
+        def recorded(keys, p):
+            calls.append(sorted(keys))
+            return original(keys, p)
+
+        monkeypatch.setattr(construction, "_eliminate_pieces", recorded)
+        t = JordanType({1: 1, 2: 1, 3: 1, 5: 1, 7: 1, 12: 1})
+        sizes = [d for d, _ in t]
+        pieces = [(r, s) for i, r in enumerate(sizes) for s in sizes[i:]]
+        assert len(pieces) == 21
+        helpers.clear_memos()
+        construction._split_adjoint_type(t, p)
+        assert calls == [sorted(pieces)]
+        construction._split_adjoint_type(t, p)  # warm: every piece is memoized
+        assert sum(map(len, calls)) == 21
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 10007])
     def test_batches_match_one_piece_at_a_time(self, p):
